@@ -55,12 +55,17 @@ spt::profileDependenceArtifact(const Module &M, const DepProfilerOptions &O) {
   // The raw profile is keyed by (Function*, LoopId); re-derive the loop
   // nest per function to translate into the structural (name, header)
   // identity — and emit in sorted order so the artifact is deterministic
-  // regardless of pointer values.
+  // regardless of pointer values. The map keeps a function's loops
+  // together, so each nest is computed once.
+  const Function *NestOf = nullptr;
+  LoopNest Nest;
   for (const auto &KV : B.Deps.PerLoop) {
     const Function *F = KV.first.first;
     const uint32_t LoopId = KV.first.second;
-    CfgInfo Cfg = CfgInfo::compute(*F);
-    LoopNest Nest = LoopNest::compute(*F, Cfg);
+    if (F != NestOf) {
+      Nest = LoopNest::compute(*F, CfgInfo::compute(*F));
+      NestOf = F;
+    }
     if (LoopId >= Nest.numLoops())
       continue; // Profile from a stale analysis; drop defensively.
     DepArtifactLoop L;

@@ -44,6 +44,11 @@
 ///   kway-diff       the generalized N-core SPT engine is byte-identical
 ///                   to the retained two-core reference at Cores=2, and
 ///                   preserves architectural state at Cores=4 and 8.
+///   profile-diff    profileRun returns the reference profiler's bundle
+///                   field for field (values watched, attribution off, a
+///                   budget that ends the run early); dependence-profile
+///                   artifacts are deterministic, round-trip with checksum
+///                   verification, and never change program semantics.
 ///
 /// Every oracle is deterministic given (Source, OracleOptions): internal
 /// randomness derives from the source's content hash.
