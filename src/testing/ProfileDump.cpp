@@ -106,8 +106,12 @@ std::string spt::dumpProfileBundle(const Module &M, const ProfileBundle &B) {
       S += " b" + std::to_string(Blk) + " ";
       S += Blk < EC.Block.size() ? std::to_string(EC.Block[Blk]) : "-";
       if (Blk < EC.Edge.size())
-        for (uint64_t C : EC.Edge[Blk])
-          S += " " + std::to_string(C);
+        for (uint64_t C : EC.Edge[Blk]) {
+          // Two appends: `" " + std::string&&` trips GCC 12's bogus
+          // -Wrestrict at -O3 (GCC PR105651).
+          S += " ";
+          S += std::to_string(C);
+        }
       S += "\n";
     }
   }
