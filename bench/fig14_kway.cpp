@@ -97,7 +97,8 @@ SweepRow sweepWorkload(const Workload &W) {
 }
 
 /// Merges the ", \"kway\": {...}\n" block into the JSON object at
-/// \p Path (same replace-or-append contract as perf_sim's merge).
+/// \p Path, replacing any previous "kway" block; writes a fresh object
+/// when the file is missing.
 void mergeIntoJson(const std::string &Path, const std::string &Block) {
   std::string Existing;
   {

@@ -222,8 +222,8 @@ RowResult runKernel(const Kernel &K, bool Quick, int Repeat) {
 }
 
 /// Merges \p Block (", \"interpreter\": {...}\n") into the JSON object at
-/// \p Path, replacing any previous "interpreter" block (same scheme as
-/// perf_sim's "simulator" merge).
+/// \p Path, replacing any previous "interpreter" block; writes a fresh
+/// object when the file is missing.
 void mergeIntoJson(const std::string &Path, const std::string &Block) {
   std::string Existing;
   {

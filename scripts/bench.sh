@@ -11,10 +11,6 @@
 #   ./scripts/bench.sh --quick         # small stress graphs, 1 repeat,
 #                                      # 100-program serve batch
 #   ./scripts/bench.sh --out=foo.json  # alternate perf_compile output
-#   ./scripts/bench.sh --sim           # also run bench/perf_sim and merge
-#                                      # its "simulator" block (nodes/s per
-#                                      # fidelity, memo hit rate) into the
-#                                      # perf_compile JSON
 #   ./scripts/bench.sh --kway          # also run bench/fig14_kway and merge
 #                                      # its "kway" block (speedup at 1/2/4/8
 #                                      # cores, two-core byte-identity gate)
@@ -34,14 +30,13 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 echo "== [release] configure"
 cmake --preset release
-echo "== [release] build perf_compile perf_serve perf_sim fig14_kway perf_oracle"
+echo "== [release] build perf_compile perf_serve fig14_kway perf_oracle"
 cmake --build --preset release -j "$JOBS" --target perf_compile perf_serve \
-  perf_sim fig14_kway perf_oracle
+  fig14_kway perf_oracle
 
 OUT_PATH="$PWD/BENCH_compile.json"
 OUT_SET=0
 QUICK=0
-SIM=0
 KWAY=0
 ORACLE=0
 ARGS=()
@@ -49,7 +44,6 @@ for arg in "$@"; do
   case "$arg" in
     --out=*) OUT_SET=1; OUT_PATH="${arg#--out=}"; ARGS+=("$arg") ;;
     --quick) QUICK=1; ARGS+=("$arg") ;;
-    --sim) SIM=1 ;;
     --kway) KWAY=1 ;;
     --oracle) ORACLE=1 ;;
     *) ARGS+=("$arg") ;;
@@ -71,29 +65,6 @@ if grep -q '"observability"' "$OUT_PATH"; then
 else
   echo "== ERROR: $OUT_PATH is missing the observability stats block" >&2
   exit 1
-fi
-
-# Simulator throughput (opt-in with --sim): bench/perf_sim times SeqSim
-# and SptSim under the three sim/SimOptions.h configurations (exact
-# reference, exact + block-timing memo, coarse fast-forward) and merges a
-# "simulator" block — nodes/s per fidelity, memo hit rate — into the
-# perf_compile JSON. perf_sim exits nonzero itself when the exact+memo
-# report is not byte-identical to the unmemoized reference (including the
-# MemoryHash) on any kernel, so only the block's presence needs checking
-# here (docs/simulation.md explains the fidelities and the memo).
-if [ "$SIM" -eq 1 ]; then
-  SIM_ARGS=()
-  if [ "$QUICK" -eq 1 ]; then
-    SIM_ARGS+=("--quick")
-  fi
-  echo "== perf_sim ${SIM_ARGS[*]:-} --out=$OUT_PATH"
-  ./build-release/bench/perf_sim "${SIM_ARGS[@]:+${SIM_ARGS[@]}}" \
-    "--out=$OUT_PATH"
-  grep -q '"simulator"' "$OUT_PATH" || {
-    echo "== ERROR: $OUT_PATH is missing the simulator block" >&2
-    exit 1
-  }
-  echo "== simulator block recorded in $OUT_PATH"
 fi
 
 # K-way core sweep (opt-in with --kway): bench/fig14_kway compiles and

@@ -6,17 +6,13 @@
 
 #include "sim/CoreTiming.h"
 
-#include "support/Debug.h"
-
 #include <algorithm>
-#include <cassert>
 
 using namespace spt;
 
 CoreTiming::CoreTiming(const MachineConfig &Machine, CacheHierarchy &Cache,
-                       BranchPredictor &Predictor, SimFidelity Fidelity)
+                       BranchPredictor &Predictor)
     : Machine(Machine), Cache(Cache), Predictor(Predictor),
-      Fidelity(Fidelity),
       IssueSlotSubticks(SubticksPerCycle / Machine.IssueWidth) {
   InFlight.assign(Machine.SchedulingWindow == 0 ? 1
                                                 : Machine.SchedulingWindow,
@@ -44,55 +40,4 @@ void CoreTiming::resetFor(uint64_t Subticks) {
 void CoreTiming::advanceTo(uint64_t Subticks) {
   Now = std::max(Now, Subticks);
   SlotTime = std::max(SlotTime, Subticks);
-}
-
-void CoreTiming::fastStep(const StepResult &R) {
-  ++Retired;
-  // Coarse model: every instruction consumes its issue slot; a quarter of
-  // the configured operation latency approximates how much of it an EPIC
-  // schedule fails to hide; loads charge the L1 hit latency (no cache
-  // model); conditional branches a fixed misprediction-penalty fraction;
-  // call/return redirects their configured overheads. Deterministic and
-  // documented in docs/simulation.md — the fidelity-diff oracle holds the
-  // result to a band around the exact model, not to equality.
-  uint64_t Cost = IssueSlotSubticks;
-  switch (opcodeClass(R.I->Op)) {
-  case OpClass::IntAlu:
-    break;
-  case OpClass::IntMul:
-    Cost += Machine.LatIntMul * SubticksPerCycle / 4;
-    break;
-  case OpClass::IntDiv:
-    Cost += Machine.LatIntDiv * SubticksPerCycle / 4;
-    break;
-  case OpClass::FpAlu:
-    Cost += Machine.LatFpAlu * SubticksPerCycle / 4;
-    break;
-  case OpClass::FpMul:
-    Cost += Machine.LatFpMul * SubticksPerCycle / 4;
-    break;
-  case OpClass::FpDiv:
-    Cost += Machine.LatFpDiv * SubticksPerCycle / 4;
-    break;
-  case OpClass::MemLoad:
-    Cost += Machine.L1.HitLatencyCycles * SubticksPerCycle;
-    break;
-  case OpClass::MemStore:
-    break;
-  case OpClass::Branch:
-    if (R.I->Op == Opcode::Br)
-      Cost += Machine.BranchMispredictPenalty * SubticksPerCycle / 8;
-    break;
-  case OpClass::Call:
-    Cost += Machine.CallOverhead * SubticksPerCycle;
-    break;
-  case OpClass::Marker:
-    break;
-  }
-  if (R.I->Op == Opcode::Call && !R.IsCallEnter)
-    Cost += Machine.MathBuiltinLatency * SubticksPerCycle / 4;
-  if (R.IsReturn)
-    Cost += Machine.CallOverhead * SubticksPerCycle / 2;
-  Now += Cost;
-  SlotTime = Now;
 }

@@ -55,8 +55,8 @@ struct SeqSimResult {
   uint64_t BranchLookups = 0;
   uint64_t BranchMispredicts = 0;
 
-  /// Fast-path effectiveness (memo hit/miss/invalidation). Not part of
-  /// the architectural report; differential comparisons exclude it.
+  /// Implementation counters (sim/SimOptions.h); all zero for the
+  /// sequential simulator. Not part of the architectural report.
   SimPerfCounters Perf;
 
   double cycles() const {
@@ -68,16 +68,12 @@ struct SeqSimResult {
   }
 };
 
-/// Simulates \p FnName(\p Args) on a single core. \p Sim selects the
-/// timing fidelity and fast paths (sim/SimOptions.h); the default —
-/// exact fidelity with block-level timing memoization — is byte-identical
-/// to the unmemoized reference (SimOptions::exactNoMemo()).
+/// Simulates \p FnName(\p Args) on a single core of \p Machine.
 SeqSimResult runSequential(const Module &M, const std::string &FnName,
                            const std::vector<Value> &Args = {},
                            const MachineConfig &Machine = MachineConfig(),
                            uint64_t MaxSteps = 500000000ull,
-                           uint64_t RngSeed = 0x5eed5eed5eedull,
-                           const SimOptions &Sim = SimOptions());
+                           uint64_t RngSeed = 0x5eed5eed5eedull);
 
 } // namespace spt
 

@@ -1,16 +1,13 @@
-//===- sim/SimOptions.h - Simulation fidelity and fast-path options ---------===//
+//===- sim/SimOptions.h - SPT engine selection and perf counters -----------===//
 //
 // Part of the SPT framework (PLDI 2004 reproduction). MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Options shared by the sequential and SPT simulators: the timing
-/// fidelity and the block-level timing-memoization switch. Architectural
-/// state (results, program output, the final memory image) is identical
-/// under every setting — only how the timing layer is computed changes.
-/// See docs/simulation.md for the fidelity contract and the memoization
-/// key/invalidaton rules.
+/// The SPT simulator's engine selection, and the per-simulation perf
+/// counters both simulators report. The counters never affect results;
+/// the two engines agree byte for byte at Cores=2.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,20 +17,6 @@
 #include <cstdint>
 
 namespace spt {
-
-/// How faithfully the timing layer is modelled.
-enum class SimFidelity : uint8_t {
-  /// The scoreboarded EPIC core, the set-associative cache hierarchy and
-  /// the per-site branch predictors — the paper's machine. Reports are
-  /// byte-identical whether or not memoization is enabled.
-  Exact,
-  /// Coarse per-class fixed-latency accounting: no cache, no predictor,
-  /// no scoreboard. Architectural state and every speculation counter
-  /// (forks, joins, squashes, violations, re-executed instructions,
-  /// iterations) stay bit-exact; only Subticks/IPC (and the predictor
-  /// and cache statistics, which read as zero) are approximate.
-  FastForward,
-};
 
 /// Which SPT engine implementation runs the speculation machinery.
 enum class SptSimEngine : uint8_t {
@@ -47,29 +30,10 @@ enum class SptSimEngine : uint8_t {
   TwoCoreReference,
 };
 
-/// Simulator options. The defaults reproduce the historical behaviour
-/// (exact fidelity) bit-for-bit.
+/// SPT simulator options. The defaults run the generalized engine.
 struct SimOptions {
-  SimFidelity Fidelity = SimFidelity::Exact;
-  /// Block-level timing memoization (exact fidelity only). On by
-  /// default: the memo hit path replays recorded scoreboard outcomes
-  /// whose microarchitectural inputs are verified equal, so results are
-  /// byte-identical to the unmemoized reference by construction.
-  bool Memo = true;
-  /// SPT engine selection (SeqSim ignores this field).
   SptSimEngine Engine = SptSimEngine::Generalized;
 
-  static SimOptions exact() { return SimOptions{}; }
-  static SimOptions exactNoMemo() {
-    SimOptions O;
-    O.Memo = false;
-    return O;
-  }
-  static SimOptions fastForward() {
-    SimOptions O;
-    O.Fidelity = SimFidelity::FastForward;
-    return O;
-  }
   static SimOptions twoCoreReference() {
     SimOptions O;
     O.Engine = SptSimEngine::TwoCoreReference;
@@ -77,25 +41,17 @@ struct SimOptions {
   }
 };
 
-/// Fast-path effectiveness counters, reported per simulation. Not part
-/// of the architectural report: differential comparisons exclude them
-/// (memoized and unmemoized runs legitimately differ here).
+/// Implementation counters, reported per simulation. Not part of the
+/// architectural report: differential comparisons exclude them.
 struct SimPerfCounters {
+  /// Always 0. The simulators once memoized block timing; these two
+  /// fields remain because external readers (perfbench's
+  /// sim.memo_hit_ratio) still sum them.
   uint64_t MemoHits = 0;
   uint64_t MemoMisses = 0;
-  /// A block's recorded timing was discarded because the
-  /// microarchitectural state it was keyed on diverged.
-  uint64_t MemoInvalidations = 0;
   /// Per-buffer-epoch batched violation closures run by the SPT
-  /// simulator (one per completed ghost thread).
+  /// simulator (one per speculative thread, joined or squashed).
   uint64_t ViolationBatches = 0;
-
-  double hitRate() const {
-    const uint64_t Total = MemoHits + MemoMisses;
-    return Total == 0 ? 0.0
-                      : static_cast<double>(MemoHits) /
-                            static_cast<double>(Total);
-  }
 };
 
 } // namespace spt

@@ -1,4 +1,4 @@
-//===- sim/SptSim.cpp - Two-core speculative (SPT) simulation ----------------===//
+//===- sim/SptSim.cpp - Speculative (SPT) simulation -------------------------===//
 //
 // Part of the SPT framework (PLDI 2004 reproduction). MIT license.
 //
@@ -39,7 +39,6 @@
 
 #include "sim/CoreTiming.h"
 #include "sim/FaultInjector.h"
-#include "sim/TimingMemo.h"
 #include "support/Debug.h"
 
 #include <algorithm>
@@ -134,7 +133,6 @@ private:
     std::vector<Slot> Old;
     Old.swap(Slots);
     Slots.resize(Old.size() * 2);
-    const size_t Relive = Live;
     Live = 0;
     for (const Slot &S : Old)
       if (S.Epoch == Epoch) {
@@ -142,7 +140,6 @@ private:
         N.V = S.V;
         N.Writer = S.Writer;
       }
-    (void)Relive;
   }
 
   std::vector<Slot> Slots;
@@ -326,7 +323,7 @@ struct GhostArena {
 /// Simulates the speculative thread (one full iteration) as a ghost.
 GhostOutcome runGhost(const Module &M, Interpreter &MainIn,
                       const PendingSpec &Spec, const MachineConfig &Machine,
-                      CoreTiming &Core, TimingMemo *Memo, GhostArena &A,
+                      CoreTiming &Core, GhostArena &A,
                       SpecAddrMap &SpecBuffer, uint64_t MaxGhostSteps,
                       FaultInjector *Injector, SimPerfCounters &Perf) {
   GhostOutcome Out;
@@ -340,7 +337,6 @@ GhostOutcome runGhost(const Module &M, Interpreter &MainIn,
   Ghost.setMemHooks(&Hooks);
 
   Core.resetFor(Spec.ForkSubtick);
-  BlockTimer BT(Core, Memo);
   A.beginRun(Spec.Desc->F->numRegs());
 
   uint32_t N = 0;
@@ -350,7 +346,7 @@ GhostOutcome runGhost(const Module &M, Interpreter &MainIn,
     // returns pop theirs.
     const size_t DepthBefore =
         R.IsCallEnter ? Depth - 1 : (R.IsReturn ? Depth + 1 : Depth);
-    BT.onStep(R, Depth);
+    Core.onStep(R, Depth);
 
     // Frame the instruction read its operands in: always the top frame
     // before the step (returns pop after reading; calls push after).
@@ -411,7 +407,6 @@ GhostOutcome runGhost(const Module &M, Interpreter &MainIn,
   Ghost.runBatch(Sink, MaxGhostSteps);
 
   Ghost.setMemHooks(nullptr);
-  BT.sync();
   Out.EndSubtick = Core.now();
   Out.Instrs = N;
   A.SrcBegin.push_back(static_cast<uint32_t>(A.SrcWriters.size()));
@@ -458,7 +453,7 @@ SptSimResult runSptTwoCore(const Module &M, const std::string &FnName,
                            const std::map<int64_t, SptLoopDesc> &Loops,
                            const MachineConfig &Machine, uint64_t MaxSteps,
                            uint64_t RngSeed, FaultInjector *Injector,
-                           ObsContext *Obs, const SimOptions &Sim) {
+                           ObsContext *Obs) {
   ObsSpan RunSpan(Obs, "sim.runSpt");
   const Function *F = M.findFunction(FnName);
   if (!F)
@@ -473,11 +468,8 @@ SptSimResult runSptTwoCore(const Module &M, const std::string &FnName,
 
   CacheHierarchy Cache(Machine);
   BranchPredictor MainPredictor, SpecPredictor;
-  CoreTiming Core(Machine, Cache, MainPredictor, Sim.Fidelity);
-  CoreTiming GhostCore(Machine, Cache, SpecPredictor, Sim.Fidelity);
-  TimingMemo Memo;
-  TimingMemo *MemoPtr = Sim.Memo ? &Memo : nullptr;
-  BlockTimer BT(Core, MemoPtr);
+  CoreTiming Core(Machine, Cache, MainPredictor);
+  CoreTiming GhostCore(Machine, Cache, SpecPredictor);
 
   SptSimResult Result;
 
@@ -517,12 +509,11 @@ SptSimResult runSptTwoCore(const Module &M, const std::string &FnName,
     const size_t Depth = In.stackDepth();
 
     if (State != Mode::Replay)
-      BT.onStep(R, Depth);
+      Core.onStep(R, Depth);
     else
       ++ReplayInstrs;
 
-    // Loop wall-time tracking. Fork/kill markers are block-timer
-    // barriers, so the clock is exact here.
+    // Loop wall-time tracking.
     if (R.IsFork && Loops.count(R.I->IntImm) &&
         !LoopEnterSubtick.count(R.I->IntImm))
       LoopEnterSubtick[R.I->IntImm] = Core.now();
@@ -597,9 +588,8 @@ SptSimResult runSptTwoCore(const Module &M, const std::string &FnName,
         PostForkHooks.reset();
 
         GhostOutcome Ghost =
-            runGhost(M, In, Spec, Machine, GhostCore, MemoPtr, Arena,
-                     SpecBuffer, /*MaxGhostSteps=*/1u << 20, FI,
-                     Memo.Stats);
+            runGhost(M, In, Spec, Machine, GhostCore, Arena, SpecBuffer,
+                     /*MaxGhostSteps=*/1u << 20, FI, Result.Perf);
         if (Ghost.Completed && FI && FI->shouldForceSquash())
           Ghost.Completed = false; // Injected: hardware lost the buffer.
         if (!Ghost.Completed) {
@@ -655,14 +645,12 @@ SptSimResult runSptTwoCore(const Module &M, const std::string &FnName,
   In.runBatch(Sink, MaxSteps);
   if (!In.done())
     spt_fatal("runSpt: step budget exhausted (infinite loop?)");
-  BT.sync();
 
   Result.Subticks = Core.now();
   Result.Instrs = Core.retired() + ReplayInstrs + ReexecInstrsTotal;
   Result.Result = In.returnValue();
   Result.Output = In.output();
   Result.MemoryHash = In.memoryHash();
-  Result.Perf = Memo.Stats;
 
   // One batched flush of the run's speculation counters; the simulation
   // loop above never touches the registry.
@@ -694,10 +682,6 @@ SptSimResult runSptTwoCore(const Module &M, const std::string &FnName,
     obsAdd(Obs, "sim.reexec_instrs", Tot.ReexecInstrs);
     obsAdd(Obs, "sim.iterations", Tot.Iterations);
     obsSample(Obs, "sim.reexec_per_run", Tot.ReexecInstrs);
-    // Fast-path effectiveness, batched like the rest.
-    obsAdd(Obs, "sim.memo.hits", Result.Perf.MemoHits);
-    obsAdd(Obs, "sim.memo.misses", Result.Perf.MemoMisses);
-    obsAdd(Obs, "sim.memo.invalidations", Result.Perf.MemoInvalidations);
     obsAdd(Obs, "sim.violation.batch", Result.Perf.ViolationBatches);
   }
   return Result;
@@ -823,8 +807,8 @@ GhostOutcome runChainGhost(const Module &M, Interpreter &MainIn,
                            const PendingSpec &Spec,
                            std::vector<ChainSlot> &Chain, uint32_t SlotIdx,
                            ChainSlot *Next, const MachineConfig &Machine,
-                           CoreTiming &Core, TimingMemo *Memo,
-                           GhostArena &A, uint64_t MaxGhostSteps,
+                           CoreTiming &Core, GhostArena &A,
+                           uint64_t MaxGhostSteps,
                            FaultInjector *Injector, SimPerfCounters &Perf) {
   GhostOutcome Out;
   ChainSlot &Slot = Chain[SlotIdx];
@@ -838,7 +822,6 @@ GhostOutcome runChainGhost(const Module &M, Interpreter &MainIn,
   Ghost.setMemHooks(&Hooks);
 
   Core.resetFor(Slot.ForkSubtick);
-  BlockTimer BT(Core, Memo);
   A.beginRun(Spec.Desc->F->numRegs());
   Slot.ArmIndex = -1;
   Slot.RndCallsAfterArm = 0;
@@ -848,7 +831,7 @@ GhostOutcome runChainGhost(const Module &M, Interpreter &MainIn,
     const size_t Depth = Ghost.stackDepth();
     const size_t DepthBefore =
         R.IsCallEnter ? Depth - 1 : (R.IsReturn ? Depth + 1 : Depth);
-    BT.onStep(R, Depth);
+    Core.onStep(R, Depth);
     const size_t SrcFrame = DepthBefore - 1;
 
     uint8_t Direct = 0;
@@ -888,8 +871,7 @@ GhostOutcome runChainGhost(const Module &M, Interpreter &MainIn,
     }
 
     // Chain arming: this ghost's own fork marker spawns the next slot,
-    // exactly as the main core's fork spawned this one. Fork markers are
-    // block-timer barriers, so the clock is exact here.
+    // exactly as the main core's fork spawned this one.
     if (R.IsFork && R.I->IntImm == Spec.LoopId && SrcFrame == 0 && Next &&
         !Next->Armed) {
       Core.charge(Machine.ForkOverhead);
@@ -925,7 +907,6 @@ GhostOutcome runChainGhost(const Module &M, Interpreter &MainIn,
   Ghost.runBatch(Sink, MaxGhostSteps);
 
   Ghost.setMemHooks(nullptr);
-  BT.sync();
   Out.EndSubtick = Core.now();
   Out.Instrs = N;
   A.SrcBegin.push_back(static_cast<uint32_t>(A.SrcWriters.size()));
@@ -989,15 +970,14 @@ void propagateStaleness(const ChainSlot &Slot, ChainSlot &Next,
 /// The generalized SptSimEngine::Generalized driver: Cores-1 chained
 /// speculative slots per fork, in-order commit with cross-core violation
 /// closure, per-slot CoreTiming/BranchPredictor over the shared cache
-/// hierarchy and TimingMemo. Cores=1 disables speculation; Cores=2 is
-/// byte-identical to runSptTwoCore.
+/// hierarchy. Cores=1 disables speculation; Cores=2 is byte-identical to
+/// runSptTwoCore.
 SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
                                const std::vector<Value> &Args,
                                const std::map<int64_t, SptLoopDesc> &Loops,
                                const MachineConfig &Machine,
                                uint64_t MaxSteps, uint64_t RngSeed,
-                               FaultInjector *Injector, ObsContext *Obs,
-                               const SimOptions &Sim) {
+                               FaultInjector *Injector, ObsContext *Obs) {
   ObsSpan RunSpan(Obs, "sim.runSpt");
   const Function *F = M.findFunction(FnName);
   if (!F)
@@ -1011,20 +991,16 @@ SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
 
   // One main core plus K speculative chain slots. The predictors and
   // core clocks persist across joins (slot s always runs on core s), the
-  // cache hierarchy and timing memo are shared by every core.
+  // cache hierarchy is shared by every core.
   const uint32_t K = Machine.Cores > 0 ? Machine.Cores - 1 : 0;
   CacheHierarchy Cache(Machine);
   BranchPredictor MainPredictor;
-  CoreTiming Core(Machine, Cache, MainPredictor, Sim.Fidelity);
+  CoreTiming Core(Machine, Cache, MainPredictor);
   std::vector<BranchPredictor> GhostPredictors(K);
   std::vector<CoreTiming> GhostCores;
   GhostCores.reserve(K);
   for (uint32_t S = 0; S != K; ++S)
-    GhostCores.emplace_back(Machine, Cache, GhostPredictors[S],
-                            Sim.Fidelity);
-  TimingMemo Memo;
-  TimingMemo *MemoPtr = Sim.Memo ? &Memo : nullptr;
-  BlockTimer BT(Core, MemoPtr);
+    GhostCores.emplace_back(Machine, Cache, GhostPredictors[S]);
 
   SptSimResult Result;
   Result.CoreStats.resize(K);
@@ -1063,7 +1039,7 @@ SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
     const size_t Depth = In.stackDepth();
 
     if (State != Mode::Replay)
-      BT.onStep(R, Depth);
+      Core.onStep(R, Depth);
     else
       ++ReplayInstrs;
 
@@ -1155,9 +1131,9 @@ SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
         for (uint32_t S = 0; S != K && Chain[S].Armed && !Cut; ++S) {
           ChainSlot *Next = S + 1 < K ? &Chain[S + 1] : nullptr;
           Chain[S].Out = runChainGhost(M, In, Spec, Chain, S, Next,
-                                       Machine, GhostCores[S], MemoPtr,
-                                       Arena, /*MaxGhostSteps=*/1u << 20,
-                                       FI, Memo.Stats);
+                                       Machine, GhostCores[S], Arena,
+                                       /*MaxGhostSteps=*/1u << 20, FI,
+                                       Result.Perf);
           if (Next && Next->Armed) {
             ++Stats.Forks;
             ++Result.CoreStats[S + 1].Forks;
@@ -1235,14 +1211,12 @@ SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
   In.runBatch(Sink, MaxSteps);
   if (!In.done())
     spt_fatal("runSpt: step budget exhausted (infinite loop?)");
-  BT.sync();
 
   Result.Subticks = Core.now();
   Result.Instrs = Core.retired() + ReplayInstrs + ReexecInstrsTotal;
   Result.Result = In.returnValue();
   Result.Output = In.output();
   Result.MemoryHash = In.memoryHash();
-  Result.Perf = Memo.Stats;
 
   if (Obs) {
     obsAdd(Obs, "sim.runs", 1);
@@ -1269,9 +1243,6 @@ SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
     obsAdd(Obs, "sim.reexec_instrs", Tot.ReexecInstrs);
     obsAdd(Obs, "sim.iterations", Tot.Iterations);
     obsSample(Obs, "sim.reexec_per_run", Tot.ReexecInstrs);
-    obsAdd(Obs, "sim.memo.hits", Result.Perf.MemoHits);
-    obsAdd(Obs, "sim.memo.misses", Result.Perf.MemoMisses);
-    obsAdd(Obs, "sim.memo.invalidations", Result.Perf.MemoInvalidations);
     obsAdd(Obs, "sim.violation.batch", Result.Perf.ViolationBatches);
     // Generalized-engine chain telemetry (sim.core.*): per-slot arm /
     // commit / squash totals, flushed batched like everything else.
@@ -1299,7 +1270,7 @@ SptSimResult spt::runSpt(const Module &M, const std::string &FnName,
                          ObsContext *Obs, const SimOptions &Sim) {
   if (Sim.Engine == SptSimEngine::TwoCoreReference)
     return runSptTwoCore(M, FnName, Args, Loops, Machine, MaxSteps, RngSeed,
-                         Injector, Obs, Sim);
+                         Injector, Obs);
   return runSptGeneralized(M, FnName, Args, Loops, Machine, MaxSteps,
-                           RngSeed, Injector, Obs, Sim);
+                           RngSeed, Injector, Obs);
 }

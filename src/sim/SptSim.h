@@ -1,4 +1,4 @@
-//===- sim/SptSim.h - Two-core speculative (SPT) simulation -----------------===//
+//===- sim/SptSim.h - Speculative (SPT) simulation --------------------------===//
 //
 // Part of the SPT framework (PLDI 2004 reproduction). MIT license.
 //
@@ -6,8 +6,11 @@
 ///
 /// \file
 /// Simulates SPT-transformed programs on the paper's machine: one main
-/// core and one speculative core with private registers and a shared
-/// cache hierarchy (Section 8; execution model of Figure 1).
+/// core and MachineConfig::Cores-1 speculative cores with private
+/// registers and a shared cache hierarchy (Section 8; execution model of
+/// Figure 1). The paper's machine has two cores, one speculative; the
+/// description below is of that case, and wider machines chain one
+/// speculative thread per extra core (see SptSim.cpp).
 ///
 /// When the main thread executes SPT_FORK in iteration i, the simulator
 /// snapshots the loop frame's context (registers + RNG state) and lets the
@@ -111,9 +114,8 @@ struct SptSimResult {
   uint64_t MemoryHash = 0;
   std::map<int64_t, SptLoopRunStats> PerLoop;
 
-  /// Fast-path effectiveness (memo hit/miss/invalidation, batched
-  /// violation closures). Not part of the architectural report;
-  /// differential comparisons exclude it.
+  /// Implementation counters (batched violation closures). Not part of
+  /// the architectural report; differential comparisons exclude it.
   SimPerfCounters Perf;
 
   /// Generalized-engine per-speculative-core telemetry (size Cores-1;
@@ -140,12 +142,8 @@ class FaultInjector;
 /// \p Obs, when non-null, receives a "sim.runSpt" span and the run's
 /// speculation counters (squashes, violations, re-executed instructions),
 /// flushed once at the end of the run.
-/// \p Sim selects the timing fidelity and fast paths (sim/SimOptions.h).
-/// Speculation outcomes (forks, joins, squashes, violations, re-executed
-/// slices) are functions of architectural state only, so every counter
-/// and all architectural fields are bit-identical across fidelities; the
-/// default exact+memo configuration is byte-identical to the unmemoized
-/// reference in every field.
+/// \p Sim selects the SPT engine (sim/SimOptions.h); at Cores=2 both
+/// engines produce byte-identical results.
 SptSimResult runSpt(const Module &M, const std::string &FnName,
                     const std::vector<Value> &Args,
                     const std::map<int64_t, SptLoopDesc> &Loops,

@@ -453,10 +453,9 @@ OracleResult oracleChaos(const Prepared &P, const OracleOptions &Opts) {
 }
 
 /// True when both results carry the same per-loop speculation counters
-/// (and, when \p Timing, the same per-loop Subticks). Shared by the
-/// simulator differential oracles; Perf and CoreStats are telemetry and
-/// deliberately excluded.
-bool samePerLoop(const SptSimResult &A, const SptSimResult &B, bool Timing) {
+/// and Subticks. Perf and CoreStats are telemetry and deliberately
+/// excluded.
+bool samePerLoop(const SptSimResult &A, const SptSimResult &B) {
   if (A.PerLoop.size() != B.PerLoop.size())
     return false;
   auto IA = A.PerLoop.begin();
@@ -471,67 +470,10 @@ bool samePerLoop(const SptSimResult &A, const SptSimResult &B, bool Timing) {
         SA.ViolatedThreads != SB.ViolatedThreads ||
         SA.SpecInstrs != SB.SpecInstrs ||
         SA.ReexecInstrs != SB.ReexecInstrs ||
-        SA.Iterations != SB.Iterations)
-      return false;
-    if (Timing && SA.Subticks != SB.Subticks)
+        SA.Iterations != SB.Iterations || SA.Subticks != SB.Subticks)
       return false;
   }
   return true;
-}
-
-/// Compares SptSimResult reports across the simulator's fidelities and
-/// fast paths (sim/SimOptions.h): the default exact+memo run must be
-/// bit-identical to the exact-no-memo reference in every report field,
-/// and the coarse fast-forward run must agree on all architectural state
-/// and speculation counters, with its timing inside a sanity band of the
-/// exact model.
-OracleResult oracleSimFidelityDiff(const Prepared &P,
-                                   const OracleOptions &Opts) {
-  OracleResult R{"sim-fidelity-diff", OracleStatus::Pass, ""};
-  if (!P.HaveSeqRef) {
-    R.Status = OracleStatus::Skipped;
-    R.Detail = "no sequential reference";
-    return R;
-  }
-  for (unsigned MI = 0; MI != 3; ++MI) {
-    auto run = [&](const SimOptions &Sim) {
-      return runSpt(*P.Modes[MI].M, "main", {}, P.Modes[MI].Report.SptLoops,
-                    MachineConfig(), Opts.MaxSteps, P.SimSeed, nullptr,
-                    Opts.Obs, Sim);
-    };
-    const SptSimResult Memo = run(SimOptions::exact());
-    const SptSimResult Ref = run(SimOptions::exactNoMemo());
-    if (Memo.Subticks != Ref.Subticks || Memo.Instrs != Ref.Instrs ||
-        Memo.Result.I != Ref.Result.I || Memo.Output != Ref.Output ||
-        Memo.MemoryHash != Ref.MemoryHash ||
-        !samePerLoop(Memo, Ref, /*Timing=*/true)) {
-      R.Status = OracleStatus::Fail;
-      R.Detail = "memoized exact report diverged from the unmemoized "
-                 "reference" +
-                 modeTag(MI);
-      return R;
-    }
-    const SptSimResult Fast = run(SimOptions::fastForward());
-    if (Fast.Result.I != Ref.Result.I || Fast.Output != Ref.Output ||
-        Fast.MemoryHash != Ref.MemoryHash || Fast.Instrs != Ref.Instrs ||
-        !samePerLoop(Fast, Ref, /*Timing=*/false)) {
-      R.Status = OracleStatus::Fail;
-      R.Detail = "fast-forward run changed architectural state or "
-                 "speculation outcomes" +
-                 modeTag(MI);
-      return R;
-    }
-    if (Ref.Subticks != 0 &&
-        (Fast.Subticks < Ref.Subticks / 8 ||
-         Fast.Subticks > Ref.Subticks * 8)) {
-      R.Status = OracleStatus::Fail;
-      R.Detail = "fast-forward timing left the sanity band: " +
-                 std::to_string(Fast.Subticks) + " vs exact " +
-                 std::to_string(Ref.Subticks) + modeTag(MI);
-      return R;
-    }
-  }
-  return R;
 }
 
 OracleResult oracleCostDiff(const Prepared &P, const OracleOptions &Opts) {
@@ -890,13 +832,13 @@ OracleResult oracleKwayDiff(const Prepared &P, const OracleOptions &Opts) {
       return runSpt(*P.Modes[MI].M, "main", {}, P.Modes[MI].Report.SptLoops,
                     MC, Opts.MaxSteps, P.SimSeed, nullptr, Opts.Obs, Sim);
     };
-    const SptSimResult Gen = run(MachineConfig(), SimOptions::exact());
+    const SptSimResult Gen = run(MachineConfig(), SimOptions());
     const SptSimResult Ref =
         run(MachineConfig(), SimOptions::twoCoreReference());
     if (Gen.Subticks != Ref.Subticks || Gen.Instrs != Ref.Instrs ||
         Gen.Result.I != Ref.Result.I || Gen.Output != Ref.Output ||
         Gen.MemoryHash != Ref.MemoryHash ||
-        !samePerLoop(Gen, Ref, /*Timing=*/true)) {
+        !samePerLoop(Gen, Ref)) {
       R.Status = OracleStatus::Fail;
       R.Detail = "generalized engine diverged from the two-core reference "
                  "at Cores=2" +
@@ -906,7 +848,7 @@ OracleResult oracleKwayDiff(const Prepared &P, const OracleOptions &Opts) {
     for (uint32_t Cores : {4u, 8u}) {
       MachineConfig MC;
       MC.Cores = Cores;
-      const SptSimResult Wide = run(MC, SimOptions::exact());
+      const SptSimResult Wide = run(MC, SimOptions());
       if (Wide.Result.I != P.SeqRef.Result.I ||
           Wide.Output != P.SeqRef.Output ||
           Wide.MemoryHash != P.SeqRef.MemoryHash) {
@@ -942,10 +884,6 @@ const OracleEntry kOracles[] = {
     {{"sptsim", "speculative simulation matches the sequential reference"},
      oracleSptSim},
     {{"chaos", "architectural state survives fault injection"}, oracleChaos},
-    {{"sim-fidelity-diff",
-      "exact+memo simulation reports bit-identical to the unmemoized "
-      "reference; fast-forward preserves architectural state"},
-     oracleSimFidelityDiff},
     {{"cost-diff", "incremental cost evaluation is bit-identical to the "
                    "reference path"},
      oracleCostDiff},

@@ -144,7 +144,7 @@ MachineConfig machineWith(uint32_t Cores) {
 SptSimResult runCores(const Module &M,
                       const std::map<int64_t, SptLoopDesc> &Loops,
                       int64_t N, uint32_t Cores,
-                      const SimOptions &Sim = SimOptions::exact(),
+                      const SimOptions &Sim = SimOptions(),
                       FaultInjector *FI = nullptr) {
   return runSpt(M, "f", {Value::ofInt(N)}, Loops, machineWith(Cores),
                 /*MaxSteps=*/500000000ull, /*RngSeed=*/0x5eed5eed5eedull,
@@ -175,7 +175,7 @@ TEST(KwaySimTest, TwoCoreByteIdentityIndependent) {
   auto Spt = compileOrDie(IndependentSrc);
   auto Loops = sptPrepare(*Spt);
   const SptSimResult Gen =
-      runCores(*Spt, Loops, 2500, 2, SimOptions::exact());
+      runCores(*Spt, Loops, 2500, 2, SimOptions());
   const SptSimResult Ref =
       runCores(*Spt, Loops, 2500, 2, SimOptions::twoCoreReference());
   expectIdentical(Gen, Ref);
@@ -188,7 +188,7 @@ TEST(KwaySimTest, TwoCoreByteIdentityDependent) {
   auto Spt = compileOrDie(DependentSrc);
   auto Loops = sptPrepare(*Spt);
   const SptSimResult Gen =
-      runCores(*Spt, Loops, 4000, 2, SimOptions::exact());
+      runCores(*Spt, Loops, 4000, 2, SimOptions());
   const SptSimResult Ref =
       runCores(*Spt, Loops, 4000, 2, SimOptions::twoCoreReference());
   expectIdentical(Gen, Ref);
@@ -198,7 +198,7 @@ TEST(KwaySimTest, TwoCoreByteIdentityRng) {
   auto Spt = compileOrDie(RngSrc);
   auto Loops = sptPrepare(*Spt, /*PreForkFraction=*/0.6);
   const SptSimResult Gen =
-      runCores(*Spt, Loops, 500, 2, SimOptions::exact());
+      runCores(*Spt, Loops, 500, 2, SimOptions());
   const SptSimResult Ref =
       runCores(*Spt, Loops, 500, 2, SimOptions::twoCoreReference());
   expectIdentical(Gen, Ref);
@@ -259,7 +259,7 @@ TEST(KwaySimTest, ForcedSquashesCutTheChain) {
   FO.ForcedSquashRate = 1.0;
   FaultInjector FI(FO);
   const SptSimResult R =
-      runCores(*Spt, Loops, 1200, 4, SimOptions::exact(), &FI);
+      runCores(*Spt, Loops, 1200, 4, SimOptions(), &FI);
   ASSERT_EQ(R.CoreStats.size(), 3u);
   uint64_t Commits = 0, Squashes = 0;
   for (const SptCoreStats &S : R.CoreStats) {

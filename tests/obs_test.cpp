@@ -431,10 +431,10 @@ TEST(PipelineObsTest, ReportCarriesStatsOnlyWhenEnabled) {
 }
 
 TEST(PipelineObsTest, SimFastPathCountersFlushedAndPinned) {
-  // The simulator's fast-path telemetry (block-timing memo, batched
-  // violation closures) is flushed once per run, like the speculation
-  // counters, and must agree exactly with the per-run SimPerfCounters in
-  // the report — and be byte-identical across identical runs.
+  // The batched violation-closure count is flushed once per run, like the
+  // speculation counters, and must agree exactly with the per-run
+  // SimPerfCounters in the report — and be byte-identical across
+  // identical runs.
   auto run = [](ObsContext *Ctx) {
     auto M = compileWorkload(allWorkloads()[0]);
     const CompilationReport Rep = compileSpt(*M, SptCompilerOptions::best());
@@ -448,21 +448,15 @@ TEST(PipelineObsTest, SimFastPathCountersFlushedAndPinned) {
   EXPECT_EQ(renderStatsText(SA), renderStatsText(B.snapshot()));
 
   EXPECT_EQ(SA.Counters.at("sim.runs"), 1u);
-  // Pinned to the run's own perf report, field for field.
-  EXPECT_EQ(SA.Counters.at("sim.memo.hits"), RA.Perf.MemoHits);
-  EXPECT_EQ(SA.Counters.at("sim.memo.misses"), RA.Perf.MemoMisses);
-  EXPECT_EQ(SA.Counters.at("sim.memo.invalidations"),
-            RA.Perf.MemoInvalidations);
   EXPECT_EQ(SA.Counters.at("sim.violation.batch"),
             RA.Perf.ViolationBatches);
-  // The memo engages on the workload and one closure batch runs per
-  // speculative thread (joined or squashed).
-  EXPECT_GT(RA.Perf.MemoHits + RA.Perf.MemoMisses, 0u);
+  // One closure batch runs per speculative thread (joined or squashed).
   uint64_t Ghosts = 0;
   for (const auto &[Id, S] : RA.PerLoop) {
     (void)Id;
     Ghosts += S.Joins + S.Squashed;
   }
+  EXPECT_GT(Ghosts, 0u);
   EXPECT_EQ(RA.Perf.ViolationBatches, Ghosts);
 }
 

@@ -112,14 +112,11 @@ std::string dumpSpt(const SptSimResult &R,
                     const std::map<int64_t, SptLoopDesc> &Loops) {
   std::ostringstream OS;
   dumpCommon(OS, R);
-  for (const auto &[Id, S] : R.PerLoop) {
-    auto It = Loops.find(Id);
-    OS << "loop " << (It != Loops.end() ? It->second.F->name() : "?") << " "
-       << Id << " " << S.Forks << " " << S.Joins << " " << S.KilledBeforeJoin
-       << " " << S.Squashed << " " << S.ViolatedThreads << " "
-       << S.SpecInstrs << " " << S.ReexecInstrs << " " << S.Iterations << " "
-       << S.Subticks << "\n";
-  }
+  for (const auto &[Id, S] : R.PerLoop)
+    OS << "loop " << Loops.at(Id).F->name() << " " << Id << " " << S.Forks
+       << " " << S.Joins << " " << S.KilledBeforeJoin << " " << S.Squashed
+       << " " << S.ViolatedThreads << " " << S.SpecInstrs << " "
+       << S.ReexecInstrs << " " << S.Iterations << " " << S.Subticks << "\n";
   for (size_t C = 0; C != R.CoreStats.size(); ++C)
     OS << "core " << C << " " << R.CoreStats[C].Forks << " "
        << R.CoreStats[C].Commits << " " << R.CoreStats[C].Squashes << "\n";

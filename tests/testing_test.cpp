@@ -169,19 +169,18 @@ TEST(KnownBadMutationTest, NoLoopMeansNoApplication) {
 // Oracle suite.
 //===----------------------------------------------------------------------===//
 
-TEST(OracleSuiteTest, CatalogueHasThirteenDistinctOracles) {
+TEST(OracleSuiteTest, CatalogueHasTwelveDistinctOracles) {
   const auto &Cat = oracleCatalogue();
-  ASSERT_EQ(Cat.size(), 13u);
+  ASSERT_EQ(Cat.size(), 12u);
   std::set<std::string> Names;
   for (const OracleInfo &O : Cat) {
     Names.insert(O.Name);
     EXPECT_FALSE(std::string(O.Description).empty()) << O.Name;
   }
-  EXPECT_EQ(Names.size(), 13u);
+  EXPECT_EQ(Names.size(), 12u);
   EXPECT_TRUE(Names.count("interp"));
   EXPECT_TRUE(Names.count("interp-decode-diff"));
   EXPECT_TRUE(Names.count("chaos"));
-  EXPECT_TRUE(Names.count("sim-fidelity-diff"));
   EXPECT_TRUE(Names.count("report-diff"));
   EXPECT_TRUE(Names.count("cache-diff"));
   EXPECT_TRUE(Names.count("kway-diff"));
