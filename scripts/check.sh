@@ -10,8 +10,10 @@
 # gate is: the tier1-labelled test suite (ctest -L tier1, which includes
 # the fuzzing self-check), then a 200-program differential fuzzing smoke
 # through the full oracle set (see docs/testing.md). Finally the release
-# preset is built (not tested) into build-release/, so a warning that only
-# -O3 raises cannot break the benchmark build unnoticed.
+# preset is built into build-release/, so a warning that only -O3 raises
+# cannot break the benchmark build unnoticed, and its simulator and
+# profiler golden digests are checked: the executors inline their step
+# sinks into the interpreter, and -O3 is the build most likely to diverge.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -102,11 +104,15 @@ fi
 
 # Release (-O3) build guard: the tree builds with -Werror, and GCC raises
 # some warnings (e.g. a -Wrestrict false positive) only at -O3, which no
-# tested preset uses.
+# tested preset uses. The golden digests pin every simulator and profiler
+# result, so they also catch an -O3-only divergence of the inlined sinks.
 if [[ " ${PRESETS[*]} " != *" release "* ]]; then
-  echo "== [release] configure + build (build only)"
+  echo "== [release] configure + build"
   cmake --preset release
   cmake --build --preset release -j "$JOBS"
+  echo "== [release] simulator and profiler golden digests"
+  ./build-release/tests/sim_golden_test
+  ./build-release/tests/profile_golden_test
 fi
 
 echo "== all presets passed: ${PRESETS[*]}"

@@ -131,6 +131,17 @@ Interpreter::BuiltinKind Interpreter::builtinKindOf(const Function &Callee) {
   return BuiltinKind::Unknown;
 }
 
+StatefulBuiltin spt::statefulBuiltinOf(const Function &F) {
+  if (!F.isExternal())
+    return StatefulBuiltin::None;
+  const std::string &Name = F.name();
+  if (Name == "rnd")
+    return StatefulBuiltin::Rnd;
+  if (Name == "print_int" || Name == "print_fp")
+    return StatefulBuiltin::Io;
+  return StatefulBuiltin::None;
+}
+
 void Interpreter::appendOutput(const char *Buf, size_t Len) {
   // Geometric growth: snprintf chunks are tiny, and print-heavy programs
   // (the paper's trace workloads) would otherwise reallocate per line.

@@ -16,14 +16,16 @@
 ///   the semantic baseline every other engine is differenced against
 ///   (tests/interp_decode_test.cpp, the interp-decode-diff fuzzing oracle).
 ///
-///   Decoded engine — run()/runBatch(): executes a pre-decoded flat code
-///   stream (interp/Decode.h) with threaded dispatch and superinstruction
-///   fusion. runBatch() streams the same StepResult records into a StepSink
-///   callback instead of materializing and returning one per call; run()
-///   skips record construction entirely. Drivers that used to call step()
-///   150M+ times per simulation (Profiler, SeqSim, SptSim) go through
-///   runBatch. InterpOptions::Dispatch selects the engine; both see the
-///   same machine state, so they can even be interleaved.
+///   Decoded engine — run()/runBatch()/runWith(): executes a pre-decoded
+///   flat code stream (interp/Decode.h) with threaded dispatch and
+///   superinstruction fusion. runBatch() streams the same StepResult
+///   records into a virtual StepSink instead of materializing and returning
+///   one per call; run() skips record construction entirely. The drivers
+///   that retire 150M+ instructions per run (the profiler, runSequential,
+///   the SPT main core and chain ghosts) call runWith() with their own
+///   concrete sink, which the engine inlines into every handler
+///   (interp/DecodeEngine.h). InterpOptions::Dispatch selects the engine;
+///   both see the same machine state, so they can even be interleaved.
 ///
 /// Design notes:
 ///  - Arrays live in a flat byte-address space (8 bytes per element) so the
@@ -44,6 +46,7 @@
 #define SPT_INTERP_INTERP_H
 
 #include "ir/IR.h"
+#include "support/Compiler.h"
 #include "support/Random.h"
 
 #include <memory>
@@ -100,7 +103,22 @@ struct StepResult {
   /// The value written to I->Dst (when the instruction defines one) or the
   /// value stored by a Store.
   Value Result;
+
+  /// True for a record with no kind flag set: an instruction that only
+  /// writes a value (an external builtin call included).
+  SPT_ALWAYS_INLINE bool isValueOp() const {
+    return !(IsLoad || IsStore || IsBranch || IsCallEnter || IsReturn ||
+             IsFork || IsKill);
+  }
 };
+
+/// The builtins with hidden machine state: rnd() advances the RNG and
+/// print_int/print_fp append to the output, so their calls are ordered by
+/// that state. The dependence profiler and the SPT simulator model it.
+enum class StatefulBuiltin : uint8_t { None, Rnd, Io };
+
+/// Which stateful builtin \p F is; None for every other function.
+StatefulBuiltin statefulBuiltinOf(const Function &F);
 
 /// Folds every observable field of \p R into an FNV-1a accumulator. Used by
 /// the decode differential test and the interp-decode-diff oracle to compare
@@ -133,7 +151,8 @@ struct InterpOptions {
 /// onStep is invoked after each IR instruction retires, at the exact point
 /// step() would have returned, so a sink may inspect interpreter state
 /// (stackDepth, topFrame, memory) and sees what a step() driver saw.
-/// Returning false stops the run after the current record.
+/// Returning false stops the run after the current record. Hot executors
+/// skip the virtual call with Interpreter::runWith and a concrete sink.
 class StepSink {
 public:
   virtual ~StepSink();
@@ -226,6 +245,14 @@ public:
   /// the number of instructions executed. Stops when the sink returns
   /// false, done(), or \p MaxSteps.
   uint64_t runBatch(StepSink &Sink, uint64_t MaxSteps = ~0ull);
+
+  /// runBatch() for a concrete sink: any class with
+  /// `bool onStep(const StepResult &)`. The same engine, instantiated for
+  /// \p Sink so its handler is inlined into every opcode handler; same
+  /// records, same order, same stop rules, and InterpOptions::Dispatch is
+  /// honoured as in runBatch(). Defined in interp/DecodeEngine.h, which
+  /// the caller includes.
+  template <class Sink> uint64_t runWith(Sink &S, uint64_t MaxSteps = ~0ull);
 
   /// The value returned by the finished start call.
   Value returnValue() const { return RetValue; }

@@ -43,7 +43,14 @@ Function *Module::addFunction(std::string Name, Type RetTy,
   assert(!findFunction(Name) && "duplicate function name");
   Funcs.push_back(
       std::make_unique<Function>(std::move(Name), RetTy, NumParams, External));
+  Funcs.back()->Index = static_cast<uint32_t>(Funcs.size() - 1);
   return Funcs.back().get();
+}
+
+uint32_t Module::indexOf(const Function *F) const {
+  if (F->index() < Funcs.size() && Funcs[F->index()].get() == F)
+    return F->index();
+  spt_unreachable("function does not belong to this module");
 }
 
 uint32_t Module::addArray(std::string Name, Type ElemTy, uint64_t Size) {
@@ -65,13 +72,6 @@ const Function *Module::findFunction(const std::string &Name) const {
     if (F->name() == Name)
       return F.get();
   return nullptr;
-}
-
-uint32_t Module::indexOf(const Function *F) const {
-  for (size_t I = 0; I != Funcs.size(); ++I)
-    if (Funcs[I].get() == F)
-      return static_cast<uint32_t>(I);
-  spt_unreachable("function does not belong to this module");
 }
 
 uint32_t Module::arrayIdOf(const std::string &Name) const {

@@ -130,6 +130,9 @@ public:
         External(External), NumRegs(NumParams) {}
 
   const std::string &name() const { return Name; }
+  /// Position in the owning module: Module::function(index()) == this.
+  /// Set by Module::addFunction; functions never move or leave a module.
+  uint32_t index() const { return Index; }
   Type returnType() const { return RetTy; }
   unsigned numParams() const { return NumParams; }
   bool isExternal() const { return External; }
@@ -176,7 +179,10 @@ public:
   size_t countInstrs() const;
 
 private:
+  friend class Module;
+
   std::string Name;
+  uint32_t Index = ~0u;
   Type RetTy;
   unsigned NumParams;
   bool External;

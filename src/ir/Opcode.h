@@ -16,6 +16,7 @@
 #ifndef SPT_IR_OPCODE_H
 #define SPT_IR_OPCODE_H
 
+#include <cstddef>
 #include <cstdint>
 
 namespace spt {
@@ -88,8 +89,11 @@ enum class Opcode : uint8_t {
   // Speculative-parallel-threading markers inserted by the SPT
   // transformation (paper Figure 2). IntImm holds the loop id.
   SptFork,
-  SptKill,
+  SptKill, // Keep last: NumOpcodes counts up to here.
 };
+
+/// Number of opcodes, for tables indexed by the raw Opcode value.
+inline constexpr size_t NumOpcodes = static_cast<size_t>(Opcode::SptKill) + 1;
 
 /// Coarse operation classes used for latency/weight lookup.
 enum class OpClass : uint8_t {

@@ -4,9 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The profiler is a StepSink over the interpreter's batched runner. Its
-// per-step path (every load, store, call and branch) does no map or set
-// lookup and no heap allocation: it counts into flat tables, which are
+// The profiler is a concrete step sink: the interpreter's decoded engine
+// is instantiated with ProfilerRun (Interpreter::runWith), so its onStep
+// is inlined into every opcode handler, where the record kind is a
+// constant. A plain value op then only counts the step (and its block
+// entry), checks the value watch and the cancel stride; memory, call,
+// return and branch work runs out of line. No per-step path does a map or
+// set lookup or a heap allocation: it counts into flat tables, which are
 // copied into the ProfileBundle maps once, when the run ends.
 //
 // Dependences are found LAMP-style, with a last-writer shadow memory and
@@ -14,9 +18,13 @@
 //
 //  - Shadow memory. One 32-byte WriteSlot per 8-byte element, indexed by
 //    Addr >> 3 over the module's array layout (arrayBaseLayout). Slots 1
-//    and 2 are the rnd() and print_* pseudo-addresses. The table comes
-//    from calloc, so elements that are never written cost no resident
-//    memory; an address outside it goes to a side hash map. A slot holds
+//    and 2 are the rnd() and print_* pseudo-addresses. The table is an
+//    anonymous mapping, so elements that are never written cost no
+//    resident memory and the pages go back to the OS when the run ends.
+//    (calloc gives that only while malloc serves the block with mmap;
+//    after a large free, glibc's adaptive threshold serves the next table
+//    of that size from the heap and clears it, every page resident.) An
+//    address outside the table goes to a side hash map. A slot holds
 //    the last write: its step number, statement and frame depth, and the
 //    call sites in frames 0..2 that led to it. A writer deeper than that
 //    also records its call chain, interned once per call (Chains).
@@ -41,13 +49,16 @@
 #include "analysis/Cfg.h"
 #include "analysis/LoopInfo.h"
 #include "interp/Decode.h"
+#include "interp/DecodeEngine.h"
+#include "support/Compiler.h"
 #include "support/WrapMath.h"
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <map>
 #include <unordered_map>
+
+#include <sys/mman.h>
 
 using namespace spt;
 
@@ -83,10 +94,18 @@ public:
     if (!Bases.empty())
       End = Bases.back() +
             M.array(static_cast<uint32_t>(Bases.size() - 1)).Size * 8;
-    Slots = static_cast<WriteSlot *>(std::calloc(End >> 3, sizeof(WriteSlot)));
-    NumSlots = Slots ? End >> 3 : 0;
+    Bytes = (End >> 3) * sizeof(WriteSlot);
+    void *P = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (P != MAP_FAILED) {
+      Slots = static_cast<WriteSlot *>(P);
+      NumSlots = End >> 3;
+    }
   }
-  ~ShadowMemory() { std::free(Slots); }
+  ~ShadowMemory() {
+    if (Slots)
+      munmap(Slots, Bytes);
+  }
   ShadowMemory(const ShadowMemory &) = delete;
   ShadowMemory &operator=(const ShadowMemory &) = delete;
 
@@ -111,6 +130,7 @@ private:
 
   WriteSlot *Slots = nullptr;
   uint64_t NumSlots = 0;
+  size_t Bytes = 0;
   std::unordered_map<uint64_t, WriteSlot> Side;
 };
 
@@ -205,13 +225,10 @@ struct Activation {
   uint32_t Depth; ///< Frame depth.
 };
 
-/// Stateful builtins whose hidden state the dependence profile models.
-enum class StateBuiltin : uint8_t { None, Rnd, Print };
-
 /// Per-function tables, indexed by module function index.
 struct FuncState {
   const Function *F = nullptr;
-  StateBuiltin Builtin = StateBuiltin::None;
+  StatefulBuiltin Builtin = StatefulBuiltin::None;
   /// One past the largest statement id in F (NoStmt aside).
   uint32_t NumStmts = 0;
   /// Built on first entry when dependences are collected.
@@ -255,15 +272,67 @@ struct ValueWatchState {
   std::vector<std::pair<int64_t, uint64_t>> Diffs;
 };
 
-class ProfilerRun final : public StepSink {
+class ProfilerRun {
 public:
   ProfilerRun(const Module &M, const ProfilerOptions &Opts);
 
   ProfileBundle run(const std::string &FnName, const std::vector<Value> &Args);
 
-  bool onStep(const StepResult &R) override;
+  /// The per-step handler (see the file comment).
+  SPT_ALWAYS_INLINE bool onStep(const StepResult &R) {
+    ++Steps;
+
+    // Edge profile.
+    if (CollectEdges) {
+      if (SPT_UNLIKELY(!CurCounts))
+        allocateCounts();
+      uint64_t *C = CurCounts + 3 * R.Block;
+      if (R.Index == 0)
+        ++C[0];
+      if (R.IsBranch)
+        ++C[R.I->Op == Opcode::Br && !R.BranchTaken ? 2 : 1];
+    }
+
+    // Dependence profile.
+    if (CollectDeps) {
+      if (R.IsLoad)
+        onLoad(R.Addr, R.I->Id);
+      else if (R.IsStore)
+        onStore(R.Addr, R.I->Id);
+      else if (R.IsCallEnter || (R.isValueOp() && R.I->Op == Opcode::Call))
+        onCall(*R.I);
+    }
+
+    // Value profile (integer results only). Calls into defined functions
+    // produce their value at the matching return, not at call entry.
+    if (!Watches.empty() && !R.IsCallEnter && R.I->Dst != NoReg &&
+        R.I->Ty == Type::Int)
+      if (const int32_t Slot = watchSlot(*Cur, R.I->Id); Slot >= 0)
+        onValueSample(Slot, R.Result.I);
+
+    // Stack and control-flow shadowing.
+    if (R.IsCallEnter || R.IsReturn || (R.IsBranch && CollectDeps))
+      onControl(R);
+
+    // Token poll stride: cheap relative to an interpreted step, frequent
+    // enough that a request deadline stops a runaway profile within
+    // microseconds rather than after the full step budget. Polled after
+    // the record so "cancelled after N steps" matches the old pre-step
+    // check.
+    constexpr uint64_t CancelCheckStride = 16384;
+    if (SPT_UNLIKELY(Opts.Cancel && Steps % CancelCheckStride == 0))
+      return !pollCancel();
+    return true;
+  }
 
 private:
+  SPT_NOINLINE void allocateCounts();
+  SPT_NOINLINE void onLoad(uint64_t Addr, StmtId TopStmt);
+  SPT_NOINLINE void onStore(uint64_t Addr, StmtId TopStmt);
+  SPT_NOINLINE void onCall(const Instr &I);
+  SPT_NOINLINE void onControl(const StepResult &R);
+  /// True (and the bundle marked cancelled) when the token fired.
+  SPT_NOINLINE bool pollCancel();
   void analyze(FuncState &FS);
   void pushFrame(uint32_t FnIndex, StmtId CallSite);
   void popFrame();
@@ -274,7 +343,8 @@ private:
   /// The writer's attributed statement in frame \p Depth < S.Depth.
   StmtId writerSite(const WriteSlot &S, uint32_t Depth);
   uint32_t internChain(uint32_t Parent, StmtId Site);
-  static int32_t watchSlot(const FuncState &FS, StmtId Stmt) {
+  SPT_ALWAYS_INLINE static int32_t watchSlot(const FuncState &FS,
+                                             StmtId Stmt) {
     return Stmt < FS.WatchSlot.size() ? FS.WatchSlot[Stmt] : -1;
   }
   void onValueSample(int32_t Slot, int64_t V);
@@ -317,13 +387,7 @@ ProfilerRun::ProfilerRun(const Module &M, const ProfilerOptions &Opts)
     FuncState &FS = Funcs[I];
     FS.F = M.function(I);
     IndexOf[FS.F] = I;
-    if (FS.F->isExternal()) {
-      const std::string &Name = FS.F->name();
-      if (Name == "rnd")
-        FS.Builtin = StateBuiltin::Rnd;
-      else if (Name == "print_int" || Name == "print_fp")
-        FS.Builtin = StateBuiltin::Print;
-    }
+    FS.Builtin = statefulBuiltinOf(*FS.F);
     FS.NumStmts = FS.F->maxStmtId();
     for (const auto &BB : *FS.F)
       for (const Instr &I : BB->Instrs)
@@ -579,7 +643,7 @@ ProfileBundle ProfilerRun::run(const std::string &FnName,
     Bundle.Completed = false;
     Bundle.Error = "profileRun: cancelled after 0 steps";
   } else {
-    Machine.runBatch(*this, Opts.MaxSteps);
+    Machine.runWith(*this, Opts.MaxSteps);
   }
   if (!Machine.done() && Bundle.Completed) {
     // Budget exhaustion is survivable: the caller gets whatever was
@@ -598,82 +662,60 @@ ProfileBundle ProfilerRun::run(const std::string &FnName,
   return Bundle;
 }
 
-bool ProfilerRun::onStep(const StepResult &R) {
-  ++Steps;
-  const StmtId TopStmt = R.I->Id;
+void ProfilerRun::allocateCounts() {
+  Cur->Counts.assign(3 * Cur->F->numBlocks(), 0);
+  CurCounts = Cur->Counts.data();
+}
 
-  // Edge profile.
-  if (CollectEdges) {
-    if (!CurCounts) {
-      Cur->Counts.assign(3 * Cur->F->numBlocks(), 0);
-      CurCounts = Cur->Counts.data();
-    }
-    uint64_t *C = CurCounts + 3 * R.Block;
-    if (R.Index == 0)
-      ++C[0];
-    if (R.IsBranch)
-      ++C[R.I->Op == Opcode::Br && !R.BranchTaken ? 2 : 1];
+void ProfilerRun::onLoad(uint64_t Addr, StmtId TopStmt) {
+  bumpStmtExec(TopStmt);
+  onMemRead(Addr, TopStmt);
+}
+
+void ProfilerRun::onStore(uint64_t Addr, StmtId TopStmt) {
+  bumpStmtExec(TopStmt);
+  onMemWrite(Addr, TopStmt);
+}
+
+void ProfilerRun::onCall(const Instr &I) {
+  bumpStmtExec(I.Id);
+  switch (Funcs[I.calleeIndex()].Builtin) {
+  case StatefulBuiltin::Rnd:
+    onMemRead(RngAddr, I.Id);
+    onMemWrite(RngAddr, I.Id);
+    break;
+  case StatefulBuiltin::Io:
+    onMemRead(IoAddr, I.Id);
+    onMemWrite(IoAddr, I.Id);
+    break;
+  case StatefulBuiltin::None:
+    break;
   }
+}
 
-  // Dependence profile.
-  if (CollectDeps) {
-    if (R.IsLoad) {
-      bumpStmtExec(TopStmt);
-      onMemRead(R.Addr, TopStmt);
-    } else if (R.IsStore) {
-      bumpStmtExec(TopStmt);
-      onMemWrite(R.Addr, TopStmt);
-    } else if (R.I->Op == Opcode::Call) {
-      bumpStmtExec(TopStmt);
-      switch (Funcs[R.I->calleeIndex()].Builtin) {
-      case StateBuiltin::Rnd:
-        onMemRead(RngAddr, TopStmt);
-        onMemWrite(RngAddr, TopStmt);
-        break;
-      case StateBuiltin::Print:
-        onMemRead(IoAddr, TopStmt);
-        onMemWrite(IoAddr, TopStmt);
-        break;
-      case StateBuiltin::None:
-        break;
-      }
-    }
-  }
-
-  // Value profile (integer results only). Calls into defined functions
-  // produce their value at the matching return, not at call entry.
-  if (!Watches.empty()) {
-    if (!R.IsCallEnter && R.I->Dst != NoReg && R.I->Ty == Type::Int)
-      if (const int32_t Slot = watchSlot(*Cur, TopStmt); Slot >= 0)
-        onValueSample(Slot, R.Result.I);
-    if (R.IsReturn && Shadow.size() >= 2 && !R.I->Srcs.empty()) {
+void ProfilerRun::onControl(const StepResult &R) {
+  if (R.IsCallEnter) {
+    pushFrame(R.I->calleeIndex(), R.I->Id);
+  } else if (R.IsReturn) {
+    // A call's value arrives with its return.
+    if (!Watches.empty() && Shadow.size() >= 2 && !R.I->Srcs.empty()) {
       const FuncState &Caller = *Shadow[Shadow.size() - 2].FS;
       if (const int32_t Slot = watchSlot(Caller, Shadow.back().CallSite);
           Slot >= 0)
         onValueSample(Slot, R.Result.I);
     }
-  }
-
-  // Stack and control-flow shadowing.
-  if (R.IsCallEnter)
-    pushFrame(R.I->calleeIndex(), TopStmt);
-  else if (R.IsReturn)
     popFrame();
-  else if (R.IsBranch && CollectDeps)
+  } else {
     enterBlock(R.NextBlock);
-
-  // Token poll stride: cheap relative to an interpreted step, frequent
-  // enough that a request deadline stops a runaway profile within
-  // microseconds rather than after the full step budget. Polled after the
-  // record so "cancelled after N steps" matches the old pre-step check.
-  constexpr uint64_t CancelCheckStride = 16384;
-  if (Opts.Cancel && Steps % CancelCheckStride == 0 &&
-      Opts.Cancel->cancelled()) {
-    Bundle.Completed = false;
-    Bundle.Error =
-        "profileRun: cancelled after " + std::to_string(Steps) + " steps";
-    return false;
   }
+}
+
+bool ProfilerRun::pollCancel() {
+  if (!Opts.Cancel->cancelled())
+    return false;
+  Bundle.Completed = false;
+  Bundle.Error =
+      "profileRun: cancelled after " + std::to_string(Steps) + " steps";
   return true;
 }
 

@@ -6,6 +6,7 @@
 
 #include "sim/Cache.h"
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 
@@ -22,13 +23,15 @@ CacheLevel::CacheLevel(const CacheLevelConfig &Config) : Config(Config) {
   const uint64_t NumLines = Config.SizeBytes / Config.LineBytes;
   NumSets = static_cast<uint32_t>(NumLines / Config.Ways);
   assert(NumSets > 0 && isPowerOfTwo(NumSets) && "bad cache geometry");
+  LineShift = static_cast<unsigned>(std::countr_zero(Config.LineBytes));
+  SetShift = static_cast<unsigned>(std::countr_zero(NumSets));
   Lines.assign(static_cast<size_t>(NumSets) * Config.Ways, Line());
 }
 
 bool CacheLevel::accessAndFill(uint64_t Addr) {
-  const uint64_t LineAddr = Addr / Config.LineBytes;
+  const uint64_t LineAddr = Addr >> LineShift;
   const uint32_t Set = static_cast<uint32_t>(LineAddr & (NumSets - 1));
-  const uint64_t Tag = LineAddr / NumSets;
+  const uint64_t Tag = LineAddr >> SetShift;
   Line *Base = &Lines[static_cast<size_t>(Set) * Config.Ways];
   ++UseClock;
 

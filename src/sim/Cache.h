@@ -42,6 +42,10 @@ private:
 
   CacheLevelConfig Config;
   uint32_t NumSets;
+  /// log2 of the line size and of NumSets (both powers of two), so the
+  /// index math is two shifts.
+  unsigned LineShift;
+  unsigned SetShift;
   std::vector<Line> Lines; // NumSets * Ways.
   uint64_t UseClock = 0;
   uint64_t Hits = 0;

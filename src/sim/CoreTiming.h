@@ -17,6 +17,13 @@
 /// per core of the machine (the main core plus MachineConfig::Cores-1
 /// speculative cores) against one shared CacheHierarchy.
 ///
+/// onStep is inline: the simulators call it from step sinks the decoded
+/// engine inlines into each opcode handler (interp/DecodeEngine.h), where
+/// the record kind is a constant and the unused paths fold away. Its
+/// state is flat: latencies come from a per-opcode table built once from
+/// the MachineConfig, and every frame's register-ready times live in one
+/// arena (see FrameRegs).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPT_SIM_CORETIMING_H
@@ -26,26 +33,27 @@
 #include "ir/IR.h"
 #include "sim/Cache.h"
 #include "sim/Machine.h"
+#include "support/Compiler.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
 #include <vector>
 
 namespace spt {
 
-/// Per-branch-site 2-bit saturating counters, stored as one dense table
-/// per function indexed by statement id (ids are dense per function, so
-/// this replaces the former std::map<(Function*, StmtId)> — the map walk
-/// was ~1.3% of a whole-suite profile on its own).
+/// Per-branch-site 2-bit saturating counters: one dense table per
+/// function, indexed by module function index, then by statement id
+/// (ids are dense per function).
 class BranchPredictor {
 public:
   /// Returns true when the prediction matched \p Taken, and trains.
-  bool predictAndTrain(const Function *F, StmtId Site, bool Taken) {
+  /// \p FnIndex is the branch's Function::index().
+  SPT_ALWAYS_INLINE bool predictAndTrain(uint32_t FnIndex, StmtId Site,
+                                         bool Taken) {
     ++Lookups;
-    std::vector<uint8_t> &Tab = tableFor(F);
-    if (Site >= Tab.size())
-      Tab.resize(Site + 1, 0);
-    uint8_t &Counter = Tab[Site]; // Starts weakly not-taken (0).
+    if (FnIndex >= Tables.size() || Site >= Tables[FnIndex].size())
+      grow(FnIndex, Site);
+    uint8_t &Counter = Tables[FnIndex][Site]; // Starts weakly not-taken (0).
     const bool Predicted = Counter >= 2;
     if (Taken && Counter < 3)
       ++Counter;
@@ -61,20 +69,18 @@ public:
   uint64_t mispredicts() const { return Mispredicts; }
 
 private:
-  std::vector<uint8_t> &tableFor(const Function *F) {
-    if (F == LastF && LastTab)
-      return *LastTab;
-    std::vector<uint8_t> &Tab = Tables[F];
-    if (Tab.empty() && F)
-      Tab.resize(F->maxStmtId(), 0);
-    LastF = F;
-    LastTab = &Tab;
-    return Tab;
+  /// Makes room for counter (\p FnIndex, \p Site); new counters are 0.
+  SPT_NOINLINE void grow(uint32_t FnIndex, StmtId Site) {
+    if (FnIndex >= Tables.size())
+      Tables.resize(static_cast<size_t>(FnIndex) + 1);
+    std::vector<uint8_t> &Tab = Tables[FnIndex];
+    if (Site >= Tab.size())
+      Tab.resize(std::max<size_t>(static_cast<size_t>(Site) + 1,
+                                  2 * Tab.size()),
+                 0);
   }
 
-  std::map<const Function *, std::vector<uint8_t>> Tables;
-  const Function *LastF = nullptr;
-  std::vector<uint8_t> *LastTab = nullptr;
+  std::vector<std::vector<uint8_t>> Tables;
   uint64_t Lookups = 0;
   uint64_t Mispredicts = 0;
 };
@@ -97,54 +103,24 @@ public:
   /// Accounts one executed instruction; \p Depth is the interpreter's
   /// stack depth after the step (frames are tracked from call/return
   /// flags).
-  void onStep(const StepResult &R, size_t Depth) {
+  SPT_ALWAYS_INLINE void onStep(const StepResult &R, size_t Depth) {
     ++Retired;
     const Instr *I = R.I;
 
     // Operation latency; memory operations access the shared cache
-    // hierarchy.
-    uint64_t LatCycles = Machine.LatIntAlu;
-    switch (opcodeClass(I->Op)) {
-    case OpClass::IntAlu:
-      LatCycles = Machine.LatIntAlu;
-      break;
-    case OpClass::IntMul:
-      LatCycles = Machine.LatIntMul;
-      break;
-    case OpClass::IntDiv:
-      LatCycles = Machine.LatIntDiv;
-      break;
-    case OpClass::FpAlu:
-      LatCycles = Machine.LatFpAlu;
-      break;
-    case OpClass::FpMul:
-      LatCycles = Machine.LatFpMul;
-      break;
-    case OpClass::FpDiv:
-      LatCycles = Machine.LatFpDiv;
-      break;
-    case OpClass::MemLoad:
-      LatCycles = Cache.access(R.Addr);
-      break;
-    case OpClass::MemStore:
+    // hierarchy, a call that enters a frame pays the call overhead and an
+    // external call (a math builtin) the table's Call entry.
+    uint64_t Lat;
+    if (R.IsLoad) {
+      Lat = Cache.access(R.Addr) * SubticksPerCycle;
+    } else if (R.IsStore) {
       Cache.access(R.Addr);
-      LatCycles = Machine.LatStore;
-      break;
-    case OpClass::Branch:
-      LatCycles = Machine.LatBranch;
-      break;
-    case OpClass::Call:
-      LatCycles = Machine.CallOverhead;
-      break;
-    case OpClass::Marker:
-      LatCycles = 0;
-      break;
+      Lat = LatSubticks[static_cast<size_t>(Opcode::Store)];
+    } else if (R.IsCallEnter) {
+      Lat = CallSubticks;
+    } else {
+      Lat = LatSubticks[static_cast<size_t>(I->Op)];
     }
-    // External math builtins are heavyweight.
-    if (I->Op == Opcode::Call && !R.IsCallEnter)
-      LatCycles = Machine.MathBuiltinLatency;
-
-    const uint64_t IssueSlot = IssueSlotSubticks;
 
     // The frame the instruction executed in: for returns, the popped
     // frame was Depth (after-pop depth + 1); otherwise the current top.
@@ -157,14 +133,19 @@ public:
     // Issue when a slot is free, the operands are ready, and the
     // in-flight window has room (the oldest in-flight completed).
     uint64_t IssueAt = std::max(SlotTime, InFlight[InFlightIdx]);
-    for (Reg S : I->Srcs)
-      IssueAt = std::max(IssueAt, regReady(SrcFrame, S));
+    if (SrcFrame < Frames.size()) {
+      const FrameRegs Fr = Frames[SrcFrame];
+      const uint64_t *Slots = Ready.data() + Fr.Base;
+      for (Reg S : I->Srcs)
+        if (S < Fr.Mark)
+          IssueAt = std::max(IssueAt, Slots[S]);
+    }
     // A dependence-stalled instruction occupies no extra front-end
     // bandwidth: the static schedule places independent work in between.
     // Stalls are bounded by operand readiness and the in-flight window.
-    SlotTime += IssueSlot;
+    SlotTime += IssueSlotSubticks;
 
-    const uint64_t Done = IssueAt + IssueSlot + LatCycles * SubticksPerCycle;
+    const uint64_t Done = IssueAt + IssueSlotSubticks + Lat;
     Now = std::max(Now, Done);
     InFlight[InFlightIdx] = Done;
     if (++InFlightIdx == InFlight.size())
@@ -176,22 +157,20 @@ public:
 
     // Conditional branches train the predictor and pay the misprediction
     // penalty on the front end.
-    if (I->Op == Opcode::Br &&
-        !Predictor.predictAndTrain(R.F, I->Id, R.BranchTaken)) {
-      SlotTime = std::max(
-          SlotTime, Done + Machine.BranchMispredictPenalty * SubticksPerCycle);
+    if (R.IsBranch && I->Op == Opcode::Br &&
+        !Predictor.predictAndTrain(R.F->index(), I->Id, R.BranchTaken)) {
+      SlotTime = std::max(SlotTime, Done + MispredictSubticks);
       Now = std::max(Now, SlotTime);
     }
 
     // Frame bookkeeping.
     if (R.IsCallEnter) {
       if (Frames.size() < Depth)
-        Frames.resize(Depth);
-      Frames[Depth - 1].clear();
+        addFrames(Depth);
+      Frames[Depth - 1].Mark = 0;
       // Arguments become ready after the call overhead; the front end
       // redirects into the callee at the same time.
-      const uint64_t ArgsReady =
-          IssueAt + IssueSlot + Machine.CallOverhead * SubticksPerCycle;
+      const uint64_t ArgsReady = IssueAt + IssueSlotSubticks + CallSubticks;
       for (size_t A = 0; A != I->Srcs.size(); ++A)
         setRegReady(Depth - 1, static_cast<Reg>(A), ArgsReady);
       SlotTime = std::max(SlotTime, ArgsReady);
@@ -201,7 +180,7 @@ public:
         Frames.resize(Depth);
       // Return redirect; the caller's destination register readiness is
       // approximated by the clock itself.
-      SlotTime += Machine.CallOverhead * SubticksPerCycle / 2;
+      SlotTime += ReturnSubticks;
       Now = std::max(Now, SlotTime);
     }
   }
@@ -234,24 +213,50 @@ public:
   }
 
 private:
-  uint64_t regReady(size_t Frame, Reg R) const {
-    if (Frame >= Frames.size() || R >= Frames[Frame].size())
-      return 0;
-    return Frames[Frame][R];
-  }
+  /// One frame's scoreboard: register R's ready time is Ready[Base + R]
+  /// for R < Mark. Mark is a high-water mark: a register at or past it
+  /// reads as ready at 0 (never written since the frame was entered), and
+  /// raising it zero-fills the registers it passes. Frames sit in the
+  /// arena in stack order, so frame K may grow up to the next frame's
+  /// Base and the top frame up to the arena's end.
+  struct FrameRegs {
+    uint32_t Base = 0;
+    uint32_t Mark = 0;
+  };
 
-  void setRegReady(size_t Frame, Reg R, uint64_t T) {
+  SPT_ALWAYS_INLINE void setRegReady(size_t Frame, Reg R, uint64_t T) {
     if (Frame >= Frames.size())
-      Frames.resize(Frame + 1);
-    if (R >= Frames[Frame].size())
-      Frames[Frame].resize(R + 1, 0);
-    Frames[Frame][R] = T;
+      addFrames(Frame + 1);
+    FrameRegs &Fr = Frames[Frame];
+    if (R >= Fr.Mark) {
+      if (Frame + 1 == Frames.size() &&
+          static_cast<size_t>(Fr.Base) + R < Ready.size()) {
+        uint64_t *Slots = Ready.data() + Fr.Base;
+        for (Reg X = Fr.Mark; X != R; ++X)
+          Slots[X] = 0;
+        Fr.Mark = R + 1;
+      } else {
+        growFrame(Frame, R);
+      }
+    }
+    Ready[Fr.Base + R] = T;
   }
 
-  const MachineConfig &Machine;
+  /// Adds empty frames until there are \p Count, on top of the arena.
+  SPT_NOINLINE void addFrames(size_t Count);
+  /// Raises frame \p Frame's mark past \p R, making room in the arena
+  /// (moving the frames above it up when it is not the top frame).
+  SPT_NOINLINE void growFrame(size_t Frame, Reg R);
+
   CacheHierarchy &Cache;
   BranchPredictor &Predictor;
   uint64_t IssueSlotSubticks;
+  /// Per-opcode latency in subticks (Call: an external builtin's; Load:
+  /// unused, loads take the cache hierarchy's latency).
+  std::array<uint64_t, NumOpcodes> LatSubticks{};
+  uint64_t CallSubticks;       ///< Entering a call frame.
+  uint64_t ReturnSubticks;     ///< Front-end redirect on return.
+  uint64_t MispredictSubticks; ///< Branch misprediction penalty.
 
   uint64_t Now = 0;      ///< Visible clock: max completion time.
   uint64_t SlotTime = 0; ///< Issue-bandwidth clock.
@@ -259,8 +264,10 @@ private:
   /// Completion times of the in-flight window (ring buffer).
   std::vector<uint64_t> InFlight;
   size_t InFlightIdx = 0;
-  /// Per-frame register-ready times, in subticks.
-  std::vector<std::vector<uint64_t>> Frames;
+  /// Live frames' scoreboards, outermost first, and their register-ready
+  /// times in subticks.
+  std::vector<FrameRegs> Frames;
+  std::vector<uint64_t> Ready;
 };
 
 } // namespace spt

@@ -8,6 +8,7 @@
 
 #include "analysis/Cfg.h"
 #include "analysis/LoopInfo.h"
+#include "interp/DecodeEngine.h"
 #include "sim/CoreTiming.h"
 #include "support/Debug.h"
 
@@ -23,10 +24,14 @@ struct FuncLoops {
   LoopNest Nest;
   /// Loop headed by each block (indexed by BlockId), or null.
   std::vector<const Loop *> HeaderOf;
+  /// The loop's Result.PerLoop entry, by header block; null until the
+  /// header is first visited (PerLoop's map nodes never move).
+  std::vector<LoopSeqStats *> StatsOf;
 
   explicit FuncLoops(const Function &F)
       : Cfg(CfgInfo::compute(F)), Nest(LoopNest::compute(F, Cfg)) {
     HeaderOf.assign(F.numBlocks(), nullptr);
+    StatsOf.assign(F.numBlocks(), nullptr);
     for (uint32_t LI = 0; LI != Nest.numLoops(); ++LI)
       HeaderOf[Nest.loop(LI)->Header] = Nest.loop(LI);
   }
@@ -34,14 +39,107 @@ struct FuncLoops {
 
 struct ActiveLoop {
   const Loop *L = nullptr;
-  LoopSeqStats *Stats = nullptr; ///< Cached; PerLoop never rehashes nodes.
+  LoopSeqStats *Stats = nullptr;
 };
 
 struct ShadowFrame {
   const Function *F = nullptr;
-  const FuncLoops *FL = nullptr;
+  FuncLoops *FL = nullptr;
   std::vector<ActiveLoop> Active;
 };
+
+/// The step sink behind runSequential: every record goes through the
+/// core's timing model; block, call and return records also move the
+/// loop shadow (out of line).
+class SeqSink {
+public:
+  SeqSink(const Module &M, const Interpreter &In, CoreTiming &Core,
+          SeqSimResult &Result)
+      : In(In), Core(Core), Result(Result), Loops(M.numFunctions()) {}
+
+  SPT_ALWAYS_INLINE bool onStep(const StepResult &R) {
+    ++SegSteps;
+    Core.onStep(R, In.stackDepth());
+    if (R.IsCallEnter || R.IsReturn || R.IsBranch)
+      onControl(R);
+    return true;
+  }
+
+  /// Pushes the shadow frame of the entry function \p F.
+  void enterFunction(const Function *F);
+  /// Attributes the open segment to every active loop.
+  void closeSegment();
+
+private:
+  SPT_NOINLINE void onControl(const StepResult &R);
+  FuncLoops &loopsFor(const Function *F);
+  void enterBlock(ShadowFrame &Sh, BlockId To);
+
+  const Interpreter &In;
+  CoreTiming &Core;
+  SeqSimResult &Result;
+  /// By module function index; built on first entry.
+  std::vector<std::unique_ptr<FuncLoops>> Loops;
+  std::vector<ShadowFrame> Shadow;
+  // Timing is attributed per segment: a run of steps over which the
+  // active-loop sets are constant (bounded by block boundaries, calls and
+  // returns). Per-step deltas telescope, so the per-loop sums equal
+  // per-step attribution.
+  uint64_t SegStart = 0;
+  uint64_t SegSteps = 0;
+};
+
+FuncLoops &SeqSink::loopsFor(const Function *F) {
+  std::unique_ptr<FuncLoops> &Slot = Loops[F->index()];
+  if (!Slot)
+    Slot = std::make_unique<FuncLoops>(*F);
+  return *Slot;
+}
+
+void SeqSink::enterBlock(ShadowFrame &Sh, BlockId To) {
+  while (!Sh.Active.empty() && !Sh.Active.back().L->contains(To))
+    Sh.Active.pop_back();
+  const Loop *L = To < Sh.FL->HeaderOf.size() ? Sh.FL->HeaderOf[To] : nullptr;
+  if (!L)
+    return;
+  LoopSeqStats *&Stats = Sh.FL->StatsOf[To];
+  if (!Stats)
+    Stats = &Result.PerLoop[{Sh.F, L->Id}];
+  if (!Sh.Active.empty() && Sh.Active.back().L == L) {
+    ++Stats->Iterations;
+    return;
+  }
+  Sh.Active.push_back(ActiveLoop{L, Stats});
+  ++Stats->Activations;
+  ++Stats->Iterations;
+}
+
+void SeqSink::enterFunction(const Function *F) {
+  Shadow.push_back(ShadowFrame{F, &loopsFor(F), {}});
+  enterBlock(Shadow.back(), F->entry());
+}
+
+void SeqSink::closeSegment() {
+  const uint64_t Delta = Core.now() - SegStart;
+  if (Delta != 0 || SegSteps != 0)
+    for (ShadowFrame &Sh : Shadow)
+      for (ActiveLoop &A : Sh.Active) {
+        A.Stats->Subticks += Delta;
+        A.Stats->Instrs += SegSteps;
+      }
+  SegStart = Core.now();
+  SegSteps = 0;
+}
+
+void SeqSink::onControl(const StepResult &R) {
+  closeSegment();
+  if (R.IsCallEnter)
+    enterFunction(In.topFrame().F);
+  else if (R.IsReturn)
+    Shadow.pop_back();
+  else
+    enterBlock(Shadow.back(), R.NextBlock);
+}
 
 } // namespace
 
@@ -63,75 +161,12 @@ SeqSimResult spt::runSequential(const Module &M, const std::string &FnName,
   CoreTiming Core(Machine, Cache, Predictor);
 
   SeqSimResult Result;
-  std::map<const Function *, std::unique_ptr<FuncLoops>> Cache_;
-  auto loopsFor = [&](const Function *Fn) -> const FuncLoops & {
-    auto It = Cache_.find(Fn);
-    if (It == Cache_.end())
-      It = Cache_.emplace(Fn, std::make_unique<FuncLoops>(*Fn)).first;
-    return *It->second;
-  };
-
-  std::vector<ShadowFrame> Shadow;
-  Shadow.push_back(ShadowFrame{F, &loopsFor(F), {}});
-
-  auto enterBlock = [&](ShadowFrame &Sh, BlockId To) {
-    while (!Sh.Active.empty() && !Sh.Active.back().L->contains(To))
-      Sh.Active.pop_back();
-    const Loop *L = To < Sh.FL->HeaderOf.size() ? Sh.FL->HeaderOf[To]
-                                                : nullptr;
-    if (!L)
-      return;
-    LoopSeqStats &Stats = Result.PerLoop[{Sh.F, L->Id}];
-    if (!Sh.Active.empty() && Sh.Active.back().L == L) {
-      ++Stats.Iterations;
-      return;
-    }
-    Sh.Active.push_back(ActiveLoop{L, &Stats});
-    ++Stats.Activations;
-    ++Stats.Iterations;
-  };
-  enterBlock(Shadow.back(), F->entry());
-
-  // Timing is attributed per segment: a run of steps over which the
-  // active-loop sets are constant (bounded by block boundaries, calls and
-  // returns). Per-step deltas telescope, so the per-loop sums equal
-  // per-step attribution.
-  uint64_t SegStart = Core.now();
-  uint64_t SegSteps = 0;
-  auto closeSegment = [&]() {
-    const uint64_t Delta = Core.now() - SegStart;
-    if (Delta != 0 || SegSteps != 0)
-      for (ShadowFrame &Sh : Shadow)
-        for (ActiveLoop &A : Sh.Active) {
-          A.Stats->Subticks += Delta;
-          A.Stats->Instrs += SegSteps;
-        }
-    SegStart = Core.now();
-    SegSteps = 0;
-  };
-
-  auto Sink = makeStepSink([&](const StepResult &R) {
-    ++SegSteps;
-    Core.onStep(R, In.stackDepth());
-
-    if (R.IsCallEnter) {
-      closeSegment();
-      const Function *Callee = In.topFrame().F;
-      Shadow.push_back(ShadowFrame{Callee, &loopsFor(Callee), {}});
-      enterBlock(Shadow.back(), Callee->entry());
-    } else if (R.IsReturn) {
-      closeSegment();
-      Shadow.pop_back();
-    } else if (R.IsBranch) {
-      closeSegment();
-      enterBlock(Shadow.back(), R.NextBlock);
-    }
-    return true;
-  });
-  In.runBatch(Sink, MaxSteps);
+  SeqSink Sink(M, In, Core, Result);
+  Sink.enterFunction(F);
+  In.runWith(Sink, MaxSteps);
   if (!In.done())
     spt_fatal("runSequential: step budget exhausted (infinite loop?)");
-  closeSegment();
+  Sink.closeSegment();
 
   Result.Subticks = Core.now();
   Result.Instrs = Core.retired();

@@ -33,12 +33,22 @@
 //     and counters, enforced by the kway-diff oracle and
 //     tests/kway_sim_test.cpp.
 //
+// The generalized engine's main core and chain ghosts are concrete step
+// sinks (MainCoreSink, ChainGhostSink): the decoded engine is instantiated
+// with each (Interpreter::runWith), so per-step timing and trace recording
+// are compiled into every opcode handler, while the fork/join state
+// machine and chain arming run out of line. Stateful builtins are resolved
+// to a kind per module function index once per run. The reference engine
+// keeps its lambda sinks on Interpreter::runBatch.
+//
 //===----------------------------------------------------------------------===//
 
 #include "sim/SptSim.h"
 
+#include "interp/DecodeEngine.h"
 #include "sim/CoreTiming.h"
 #include "sim/FaultInjector.h"
+#include "support/Compiler.h"
 #include "support/Debug.h"
 
 #include <algorithm>
@@ -243,7 +253,7 @@ struct PendingSpec {
     return (R >> 6) < MainRegWriteBits.size() &&
            (MainRegWriteBits[R >> 6] >> (R & 63)) & 1;
   }
-  void setMainWrote(Reg R) {
+  SPT_ALWAYS_INLINE void setMainWrote(Reg R) {
     if ((R >> 6) >= MainRegWriteBits.size())
       MainRegWriteBits.resize((R >> 6) + 1, 0);
     MainRegWriteBits[R >> 6] |= 1ull << (R & 63);
@@ -268,15 +278,37 @@ private:
   PendingSpec &Spec;
 };
 
+/// An append-only trace column: a vector's push_back with the growth path
+/// out of line, so an append inlines into a ghost sink's handlers.
+template <class T> class TraceColumn {
+public:
+  SPT_ALWAYS_INLINE void push_back(T V) {
+    if (SPT_UNLIKELY(Size == Data.size()))
+      grow();
+    Data[Size++] = V;
+  }
+  T operator[](size_t I) const { return Data[I]; }
+  size_t size() const { return Size; }
+  void clear() { Size = 0; }
+
+private:
+  SPT_NOINLINE void grow() {
+    Data.resize(Data.empty() ? 1024 : 2 * Data.size());
+  }
+
+  std::vector<T> Data;
+  size_t Size = 0;
+};
+
 /// Structure-of-arrays ghost trace and last-writer tables, arena-reused
 /// across speculative threads (epoch/run-id tagged, O(1) begin).
 struct GhostArena {
   // Per-trace-entry columns.
-  std::vector<uint8_t> Direct;     ///< Directly violated.
-  std::vector<uint8_t> IsLoad;
-  std::vector<int32_t> SpecWriter; ///< Spec-buffer producer entry or -1.
-  std::vector<uint32_t> SrcBegin;  ///< Offsets into SrcWriters (+sentinel).
-  std::vector<int32_t> SrcWriters; ///< Resolved register producers.
+  TraceColumn<uint8_t> Direct;     ///< Directly violated.
+  TraceColumn<uint8_t> IsLoad;
+  TraceColumn<int32_t> SpecWriter; ///< Spec-buffer producer entry or -1.
+  TraceColumn<uint32_t> SrcBegin;  ///< Offsets into SrcWriters (+sentinel).
+  TraceColumn<int32_t> SrcWriters; ///< Resolved register producers.
   std::vector<uint8_t> Reexec;     ///< Closure output.
   // Last-writer tables: per frame, per register, (run id, trace index).
   std::vector<std::vector<std::pair<uint32_t, int32_t>>> Writers;
@@ -293,7 +325,7 @@ struct GhostArena {
     SrcWriters.clear();
     GhostWrote.assign((LoopRegs + 63) / 64, 0);
   }
-  int32_t writerOf(size_t Frame, Reg R) const {
+  SPT_ALWAYS_INLINE int32_t writerOf(size_t Frame, Reg R) const {
     if (Frame >= Writers.size())
       return -1;
     const auto &W = Writers[Frame];
@@ -301,7 +333,7 @@ struct GhostArena {
       return -1;
     return W[R].second;
   }
-  void setWriter(size_t Frame, Reg R, int32_t Idx) {
+  SPT_ALWAYS_INLINE void setWriter(size_t Frame, Reg R, int32_t Idx) {
     if (Frame >= Writers.size())
       Writers.resize(Frame + 1);
     auto &W = Writers[Frame];
@@ -309,11 +341,11 @@ struct GhostArena {
       W.resize(R + 1, {0, -1});
     W[R] = {RunId, Idx};
   }
-  bool ghostWrote(Reg R) const {
+  SPT_ALWAYS_INLINE bool ghostWrote(Reg R) const {
     return (R >> 6) < GhostWrote.size() &&
            (GhostWrote[R >> 6] >> (R & 63)) & 1;
   }
-  void setGhostWrote(Reg R) {
+  SPT_ALWAYS_INLINE void setGhostWrote(Reg R) {
     if ((R >> 6) >= GhostWrote.size())
       GhostWrote.resize((R >> 6) + 1, 0);
     GhostWrote[R >> 6] |= 1ull << (R & 63);
@@ -691,6 +723,25 @@ SptSimResult runSptTwoCore(const Module &M, const std::string &FnName,
 // Generalized N-core engine
 //===----------------------------------------------------------------------===//
 
+/// The stateful builtin of every module function, by function index:
+/// resolved once per run, not by name per call.
+std::vector<StatefulBuiltin> resolveStatefulBuiltins(const Module &M) {
+  std::vector<StatefulBuiltin> Kinds(M.numFunctions());
+  for (uint32_t I = 0; I != M.numFunctions(); ++I)
+    Kinds[I] = statefulBuiltinOf(*M.function(I));
+  return Kinds;
+}
+
+/// The builtin a record called: the kind of an external call's callee,
+/// None for everything else. Only value records can be external calls, so
+/// with a concrete sink the test folds away for the other record kinds.
+SPT_ALWAYS_INLINE StatefulBuiltin
+calledBuiltin(const StepResult &R, const StatefulBuiltin *Kinds) {
+  if (!R.isValueOp() || R.I->Op != Opcode::Call)
+    return StatefulBuiltin::None;
+  return Kinds[R.I->calleeIndex()];
+}
+
 /// One speculative chain slot of the generalized engine: the snapshot a
 /// fork captured, the staleness of that snapshot relative to committed
 /// sequential state, and the slot's speculative writes. Slot s
@@ -719,7 +770,7 @@ struct ChainSlot {
   int32_t ArmIndex = -1;
   uint64_t RndCallsAfterArm = 0;
 
-  bool staleReg(Reg R) const {
+  SPT_ALWAYS_INLINE bool staleReg(Reg R) const {
     return (R >> 6) < StaleBits.size() &&
            (StaleBits[R >> 6] >> (R & 63)) & 1;
   }
@@ -799,6 +850,132 @@ private:
   FaultInjector *Injector;
 };
 
+/// The step sink of one chain ghost: times the step on the slot's core
+/// and appends it to the arena's violation trace. The fork marker that
+/// arms the next slot is handled out of line.
+class ChainGhostSink {
+public:
+  ChainGhostSink(Interpreter &Ghost, const PendingSpec &Spec,
+                 ChainSlot &Slot, ChainSlot *Next,
+                 const MachineConfig &Machine, CoreTiming &Core,
+                 GhostArena &A, const ChainMemHooks &Hooks,
+                 const StatefulBuiltin *Builtins, FaultInjector *Injector,
+                 GhostOutcome &Out)
+      : Ghost(Ghost), Spec(Spec), Slot(Slot), Next(Next), Machine(Machine),
+        Core(Core), A(A), Hooks(Hooks), Builtins(Builtins),
+        Injector(Injector), Out(Out) {}
+
+  SPT_ALWAYS_INLINE bool onStep(const StepResult &R) {
+    const size_t Depth = Ghost.stackDepth();
+    // Depth before the step: calls push their frame before the record,
+    // returns pop theirs.
+    const size_t DepthBefore =
+        R.IsCallEnter ? Depth - 1 : (R.IsReturn ? Depth + 1 : Depth);
+    Core.onStep(R, Depth);
+    // Frame the instruction read its operands in: always the top frame
+    // before the step (returns pop after reading; calls push after).
+    const size_t SrcFrame = DepthBefore - 1;
+
+    uint8_t Direct = 0;
+    A.SrcBegin.push_back(static_cast<uint32_t>(A.SrcWriters.size()));
+    for (Reg S : R.I->Srcs) {
+      A.SrcWriters.push_back(A.writerOf(SrcFrame, S));
+      // Violations: stale register reads at the loop frame.
+      if (SrcFrame == 0 && !A.ghostWrote(S) && Slot.staleReg(S))
+        Direct = 1;
+    }
+
+    // Violations: stale memory reads, and injected value corruption
+    // (modelled as hardware-detected misspeculation).
+    if (R.IsLoad && (Hooks.LastLoadViolated || Hooks.LastLoadInjected))
+      Direct = 1;
+
+    // Violations: racing stateful builtins.
+    switch (calledBuiltin(R, Builtins)) {
+    case StatefulBuiltin::Rnd:
+      if (Slot.StaleRnd)
+        Direct = 1;
+      if (Slot.ArmIndex >= 0)
+        ++Slot.RndCallsAfterArm;
+      break;
+    case StatefulBuiltin::Io:
+      Direct = 1; // I/O cannot speculate.
+      break;
+    case StatefulBuiltin::None:
+      break;
+    }
+
+    A.Direct.push_back(Direct);
+    A.IsLoad.push_back(R.IsLoad);
+    A.SpecWriter.push_back(R.IsLoad ? Hooks.LastLoadSpecWriter : -1);
+
+    // Record writes.
+    if (R.I->Dst != NoReg && !R.IsCallEnter) {
+      A.setWriter(SrcFrame, R.I->Dst, static_cast<int32_t>(N));
+      if (SrcFrame == 0)
+        A.setGhostWrote(R.I->Dst);
+    }
+
+    if (R.IsFork)
+      onFork(R, SrcFrame);
+    ++N;
+
+    // Stop conditions: completed one iteration, predicted loop exit, or
+    // the loop frame returned.
+    if (R.IsBranch && Depth == 1 &&
+        R.NextBlock == Spec.Desc->PreForkEntry) {
+      Out.Completed = true;
+      return false;
+    }
+    if (R.IsKill && R.I->IntImm == Spec.LoopId) {
+      Out.Completed = true; // Speculated that the loop ends.
+      Out.CompletedByKill = true;
+      return false;
+    }
+    if (R.IsReturn && Depth == 0)
+      return false; // Fell out of the loop frame: treat as squashed.
+    return true;
+  }
+
+  /// Trace entries recorded.
+  uint32_t N = 0;
+
+private:
+  /// Chain arming: this ghost's own fork marker spawns the next slot,
+  /// exactly as the main core's fork spawned this one.
+  SPT_NOINLINE void onFork(const StepResult &R, size_t SrcFrame);
+
+  Interpreter &Ghost;
+  const PendingSpec &Spec;
+  ChainSlot &Slot;
+  ChainSlot *Next;
+  const MachineConfig &Machine;
+  CoreTiming &Core;
+  GhostArena &A;
+  const ChainMemHooks &Hooks;
+  const StatefulBuiltin *Builtins;
+  FaultInjector *Injector;
+  GhostOutcome &Out;
+};
+
+void ChainGhostSink::onFork(const StepResult &R, size_t SrcFrame) {
+  if (R.I->IntImm != Spec.LoopId || SrcFrame != 0 || !Next || Next->Armed)
+    return;
+  Core.charge(Machine.ForkOverhead);
+  if (Injector)
+    Core.charge(Injector->forkJitterSubticks());
+  Next->Armed = true;
+  Ghost.copyTopRegs(Next->Regs);
+  if (Injector && !Next->Regs.empty() && Injector->shouldFlipReg()) {
+    const size_t Idx = Injector->pickIndex(Next->Regs.size());
+    Next->Regs[Idx] = Injector->corrupt(Next->Regs[Idx]);
+    Next->setStaleReg(static_cast<Reg>(Idx));
+  }
+  Next->Rng = Ghost.rng();
+  Next->ForkSubtick = Core.now();
+  Slot.ArmIndex = static_cast<int32_t>(N);
+}
+
 /// Simulates chain slot \p SlotIdx as a ghost. Structured exactly like
 /// the reference engine's runGhost, with three additions: staleness
 /// comes from the slot (not the main-thread write set), loads walk the
@@ -808,6 +985,7 @@ GhostOutcome runChainGhost(const Module &M, Interpreter &MainIn,
                            std::vector<ChainSlot> &Chain, uint32_t SlotIdx,
                            ChainSlot *Next, const MachineConfig &Machine,
                            CoreTiming &Core, GhostArena &A,
+                           const StatefulBuiltin *Builtins,
                            uint64_t MaxGhostSteps,
                            FaultInjector *Injector, SimPerfCounters &Perf) {
   GhostOutcome Out;
@@ -826,85 +1004,10 @@ GhostOutcome runChainGhost(const Module &M, Interpreter &MainIn,
   Slot.ArmIndex = -1;
   Slot.RndCallsAfterArm = 0;
 
-  uint32_t N = 0;
-  auto Sink = makeStepSink([&](const StepResult &R) {
-    const size_t Depth = Ghost.stackDepth();
-    const size_t DepthBefore =
-        R.IsCallEnter ? Depth - 1 : (R.IsReturn ? Depth + 1 : Depth);
-    Core.onStep(R, Depth);
-    const size_t SrcFrame = DepthBefore - 1;
-
-    uint8_t Direct = 0;
-    A.SrcBegin.push_back(static_cast<uint32_t>(A.SrcWriters.size()));
-    for (Reg S : R.I->Srcs) {
-      A.SrcWriters.push_back(A.writerOf(SrcFrame, S));
-      // Violations: stale register reads at the loop frame.
-      if (SrcFrame == 0 && !A.ghostWrote(S) && Slot.staleReg(S))
-        Direct = 1;
-    }
-
-    if (R.IsLoad && (Hooks.LastLoadViolated || Hooks.LastLoadInjected))
-      Direct = 1;
-
-    if (R.I->Op == Opcode::Call) {
-      const Function *Callee = M.function(R.I->calleeIndex());
-      if (Callee->isExternal()) {
-        if (Callee->name() == "rnd") {
-          if (Slot.StaleRnd)
-            Direct = 1;
-          if (Slot.ArmIndex >= 0)
-            ++Slot.RndCallsAfterArm;
-        }
-        if (Callee->name() == "print_int" || Callee->name() == "print_fp")
-          Direct = 1; // I/O cannot speculate.
-      }
-    }
-
-    A.Direct.push_back(Direct);
-    A.IsLoad.push_back(R.IsLoad);
-    A.SpecWriter.push_back(R.IsLoad ? Hooks.LastLoadSpecWriter : -1);
-
-    if (R.I->Dst != NoReg && !R.IsCallEnter) {
-      A.setWriter(SrcFrame, R.I->Dst, static_cast<int32_t>(N));
-      if (SrcFrame == 0)
-        A.setGhostWrote(R.I->Dst);
-    }
-
-    // Chain arming: this ghost's own fork marker spawns the next slot,
-    // exactly as the main core's fork spawned this one.
-    if (R.IsFork && R.I->IntImm == Spec.LoopId && SrcFrame == 0 && Next &&
-        !Next->Armed) {
-      Core.charge(Machine.ForkOverhead);
-      if (Injector)
-        Core.charge(Injector->forkJitterSubticks());
-      Next->Armed = true;
-      Ghost.copyTopRegs(Next->Regs);
-      if (Injector && !Next->Regs.empty() && Injector->shouldFlipReg()) {
-        const size_t Idx = Injector->pickIndex(Next->Regs.size());
-        Next->Regs[Idx] = Injector->corrupt(Next->Regs[Idx]);
-        Next->setStaleReg(static_cast<Reg>(Idx));
-      }
-      Next->Rng = Ghost.rng();
-      Next->ForkSubtick = Core.now();
-      Slot.ArmIndex = static_cast<int32_t>(N);
-    }
-    ++N;
-
-    if (R.IsBranch && Depth == 1 &&
-        R.NextBlock == Spec.Desc->PreForkEntry) {
-      Out.Completed = true;
-      return false;
-    }
-    if (R.IsKill && R.I->IntImm == Spec.LoopId) {
-      Out.Completed = true; // Speculated that the loop ends.
-      Out.CompletedByKill = true;
-      return false;
-    }
-    if (R.IsReturn && Depth == 0)
-      return false; // Fell out of the loop frame: treat as squashed.
-    return true;
-  });
-  Ghost.runBatch(Sink, MaxGhostSteps);
+  ChainGhostSink Sink(Ghost, Spec, Slot, Next, Machine, Core, A, Hooks,
+                      Builtins, Injector, Out);
+  Ghost.runWith(Sink, MaxGhostSteps);
+  const uint32_t N = Sink.N;
 
   Ghost.setMemHooks(nullptr);
   Out.EndSubtick = Core.now();
@@ -967,6 +1070,275 @@ void propagateStaleness(const ChainSlot &Slot, ChainSlot &Next,
     Next.StaleRnd = true;
 }
 
+/// Iteration-boundary lookup: (function, block) -> loop id. A handful of
+/// entries; a linear scan beats a map per branch.
+struct BoundaryEntry {
+  const Function *F;
+  BlockId B;
+  int64_t Id;
+};
+
+/// The generalized engine's main core: the step sink that times the main
+/// thread and runs the fork / post-fork / join / replay state machine.
+/// Per step it only times the instruction (or counts a replayed one) and,
+/// after a fork, records the main thread's register writes and builtin
+/// calls; forks, kills and branches go to the out-of-line state machine,
+/// which simulates the speculative chain at each join.
+class MainCoreSink {
+public:
+  MainCoreSink(const Module &M, Interpreter &In,
+               const std::map<int64_t, SptLoopDesc> &Loops,
+               const MachineConfig &Machine, CoreTiming &Core,
+               std::vector<CoreTiming> &GhostCores, FaultInjector *FI,
+               SptSimResult &Result)
+      : M(M), In(In), Loops(Loops), Machine(Machine), Core(Core),
+        GhostCores(GhostCores), FI(FI), Result(Result),
+        K(static_cast<uint32_t>(GhostCores.size())), Chain(K),
+        Builtins(resolveStatefulBuiltins(M)) {
+    for (const auto &[Id, Desc] : Loops) {
+      bool Replaced = false;
+      for (BoundaryEntry &BE : Boundaries)
+        if (BE.F == Desc.F && BE.B == Desc.PreForkEntry) {
+          BE.Id = Id; // Same overwrite semantics as a map.
+          Replaced = true;
+          break;
+        }
+      if (!Replaced)
+        Boundaries.push_back({Desc.F, Desc.PreForkEntry, Id});
+    }
+  }
+
+  SPT_ALWAYS_INLINE bool onStep(const StepResult &R) {
+    const size_t Depth = In.stackDepth();
+    if (State != Mode::Replay) {
+      Core.onStep(R, Depth);
+    } else {
+      ++ReplayInstrs;
+    }
+
+    if (State == Mode::PostFork) {
+      // Track the main thread's post-fork effects.
+      if (R.I->Dst != NoReg && !R.IsCallEnter && Depth == Spec.FrameDepth)
+        Spec.setMainWrote(R.I->Dst);
+      switch (calledBuiltin(R, Builtins.data())) {
+      case StatefulBuiltin::Rnd:
+        ++Spec.MainRndCalls;
+        break;
+      case StatefulBuiltin::Io:
+        ++Spec.MainIoCalls;
+        break;
+      case StatefulBuiltin::None:
+        break;
+      }
+    }
+
+    if (R.IsFork || R.IsKill || R.IsBranch)
+      onControl(R, Depth);
+    return true;
+  }
+
+  uint64_t ReplayInstrs = 0;
+  uint64_t ReexecInstrsTotal = 0;
+
+private:
+  SPT_NOINLINE void onControl(const StepResult &R, size_t Depth);
+  void fork(const StepResult &R, size_t Depth);
+  void join();
+
+  const Module &M;
+  Interpreter &In;
+  const std::map<int64_t, SptLoopDesc> &Loops;
+  const MachineConfig &Machine;
+  CoreTiming &Core;
+  std::vector<CoreTiming> &GhostCores;
+  FaultInjector *FI;
+  SptSimResult &Result;
+  /// Speculative chain slots (Cores - 1).
+  const uint32_t K;
+
+  enum class Mode { Normal, PostFork, Replay };
+  Mode State = Mode::Normal;
+  PendingSpec Spec;
+  GhostArena Arena;
+  std::vector<ChainSlot> Chain;
+  std::unique_ptr<MainPostForkHooks> PostForkHooks;
+  uint32_t ReplayRemaining = 0;
+  std::vector<StatefulBuiltin> Builtins;
+  std::vector<BoundaryEntry> Boundaries;
+  /// Wall-time attribution per loop.
+  std::map<int64_t, uint64_t> LoopEnterSubtick;
+};
+
+void MainCoreSink::onControl(const StepResult &R, size_t Depth) {
+  // Loop wall-time tracking.
+  if (R.IsFork && Loops.count(R.I->IntImm) &&
+      !LoopEnterSubtick.count(R.I->IntImm))
+    LoopEnterSubtick[R.I->IntImm] = Core.now();
+  if (R.IsKill && Loops.count(R.I->IntImm)) {
+    auto It = LoopEnterSubtick.find(R.I->IntImm);
+    if (It != LoopEnterSubtick.end()) {
+      Result.PerLoop[R.I->IntImm].Subticks += Core.now() - It->second;
+      LoopEnterSubtick.erase(It);
+    }
+  }
+
+  switch (State) {
+  case Mode::Normal:
+    if (K != 0 && R.IsFork && Loops.count(R.I->IntImm))
+      fork(R, Depth);
+    break;
+
+  case Mode::PostFork:
+    // Loop exit while the speculative chain runs: kill it.
+    if (R.IsKill && R.I->IntImm == Spec.LoopId) {
+      ++Result.PerLoop[Spec.LoopId].KilledBeforeJoin;
+      In.setMemHooks(nullptr);
+      PostForkHooks.reset();
+      State = Mode::Normal;
+      break;
+    }
+    // Join: the main thread reached the next iteration's entry.
+    if (R.IsBranch && Depth == Spec.FrameDepth &&
+        R.NextBlock == Spec.Desc->PreForkEntry)
+      join();
+    break;
+
+  case Mode::Replay:
+    // Speculatively executed iterations are replayed functionally with
+    // the clock frozen, one boundary visit per committed slot.
+    if (R.IsBranch && Depth == Spec.FrameDepth &&
+        R.NextBlock == Spec.Desc->PreForkEntry) {
+      if (--ReplayRemaining == 0)
+        State = Mode::Normal;
+    } else if (R.IsKill && R.I->IntImm == Spec.LoopId) {
+      // Loop ended inside a replayed iteration (wall time was already
+      // attributed above).
+      ReplayRemaining = 0;
+      State = Mode::Normal;
+    }
+    break;
+  }
+
+  // Iteration counting at boundaries (any mode).
+  if (R.IsBranch && !Boundaries.empty()) {
+    const Function *TopF = In.done() ? nullptr : In.topFrame().F;
+    for (const BoundaryEntry &BE : Boundaries)
+      if (BE.F == TopF && BE.B == R.NextBlock) {
+        ++Result.PerLoop[BE.Id].Iterations;
+        break;
+      }
+  }
+}
+
+void MainCoreSink::fork(const StepResult &R, size_t Depth) {
+  const SptLoopDesc &Desc = Loops.at(R.I->IntImm);
+  if (In.topFrame().F != Desc.F)
+    return;
+  // Spawn: snapshot the loop frame context.
+  Core.charge(Machine.ForkOverhead);
+  if (FI)
+    Core.charge(FI->forkJitterSubticks());
+  Spec.resetFor(R.I->IntImm, &Desc, Depth);
+  In.copyTopRegs(Spec.Regs);
+  if (FI && !Spec.Regs.empty() && FI->shouldFlipReg()) {
+    // Corrupt one snapshot register — the speculative thread's input
+    // state, where SVP's predicted values live. Marking it as a
+    // main-thread write makes ghost reads of it violations, i.e. the
+    // hardware detects the stale/wrong value and the dependent slice is
+    // re-executed.
+    const size_t Idx = FI->pickIndex(Spec.Regs.size());
+    Spec.Regs[Idx] = FI->corrupt(Spec.Regs[Idx]);
+    Spec.setMainWrote(static_cast<Reg>(Idx));
+  }
+  Spec.Rng = In.rng();
+  Spec.ForkSubtick = Core.now();
+  PostForkHooks = std::make_unique<MainPostForkHooks>(In, Spec);
+  In.setMemHooks(PostForkHooks.get());
+  State = Mode::PostFork;
+  ++Result.PerLoop[Spec.LoopId].Forks;
+  ++Result.CoreStats[0].Forks;
+}
+
+void MainCoreSink::join() {
+  // Simulate the speculative chain in order, each committed slot arming
+  // (possibly) the next.
+  SptLoopRunStats &Stats = Result.PerLoop[Spec.LoopId];
+  In.setMemHooks(nullptr);
+  PostForkHooks.reset();
+
+  // Slot 0 inherits the main fork's snapshot; later slots reset until
+  // their predecessor arms them.
+  const unsigned LoopRegs = Spec.Desc->F->numRegs();
+  Chain[0].Armed = true;
+  Chain[0].Regs = Spec.Regs;
+  Chain[0].Rng = Spec.Rng;
+  Chain[0].ForkSubtick = Spec.ForkSubtick;
+  Chain[0].StaleBits = Spec.MainRegWriteBits;
+  Chain[0].StaleRnd = Spec.MainRndCalls > 0;
+  for (uint32_t S = 1; S < K; ++S) {
+    Chain[S].Armed = false;
+    Chain[S].StaleBits.assign((LoopRegs + 63) / 64, 0);
+    Chain[S].StaleRnd = false;
+  }
+
+  uint32_t Committed = 0;
+  bool Cut = false;
+  for (uint32_t S = 0; S != K && Chain[S].Armed && !Cut; ++S) {
+    ChainSlot *Next = S + 1 < K ? &Chain[S + 1] : nullptr;
+    Chain[S].Out = runChainGhost(M, In, Spec, Chain, S, Next, Machine,
+                                 GhostCores[S], Arena, Builtins.data(),
+                                 /*MaxGhostSteps=*/1u << 20, FI,
+                                 Result.Perf);
+    if (Next && Next->Armed) {
+      ++Stats.Forks;
+      ++Result.CoreStats[S + 1].Forks;
+    }
+    if (Chain[S].Out.Completed && FI && FI->shouldForceSquash())
+      Chain[S].Out.Completed = false; // Injected: hardware lost the buffer.
+    if (!Chain[S].Out.Completed) {
+      Cut = true; // First failure cuts the chain.
+      break;
+    }
+    ++Committed;
+    if (Chain[S].Out.CompletedByKill)
+      Cut = true; // Loop predicted to end: no later iteration.
+    else if (Next && Next->Armed)
+      propagateStaleness(Chain[S], *Next, Arena, LoopRegs);
+  }
+
+  // In-order commit fold over the committed prefix.
+  for (uint32_t S = 0; S != Committed; ++S) {
+    const GhostOutcome &O = Chain[S].Out;
+    ++Stats.Joins;
+    Stats.SpecInstrs += O.Instrs;
+    Stats.ReexecInstrs += O.ReexecInstrs;
+    ReexecInstrsTotal += O.ReexecInstrs;
+    if (O.Violated)
+      ++Stats.ViolatedThreads;
+    ++Result.CoreStats[S].Commits;
+    Core.advanceTo(std::max(Core.now(), O.EndSubtick));
+    Core.charge(Machine.CommitOverhead);
+    if (FI)
+      Core.charge(FI->commitJitterSubticks());
+    Core.advanceTo(Core.now() + O.ReexecSubticks);
+  }
+  // Everything armed beyond the committed prefix is squashed.
+  for (uint32_t S = Committed; S != K; ++S)
+    if (Chain[S].Armed) {
+      ++Stats.Squashed;
+      ++Result.CoreStats[S].Squashes;
+    }
+
+  if (Committed == 0) {
+    // Squashed: the main thread simply executes the iteration itself at
+    // full cost.
+    State = Mode::Normal;
+  } else {
+    ReplayRemaining = Committed;
+    State = Mode::Replay;
+  }
+}
+
 /// The generalized SptSimEngine::Generalized driver: Cores-1 chained
 /// speculative slots per fork, in-order commit with cross-core violation
 /// closure, per-slot CoreTiming/BranchPredictor over the shared cache
@@ -1005,215 +1377,13 @@ SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
   SptSimResult Result;
   Result.CoreStats.resize(K);
 
-  struct BoundaryEntry {
-    const Function *F;
-    BlockId B;
-    int64_t Id;
-  };
-  std::vector<BoundaryEntry> Boundaries;
-  for (const auto &[Id, Desc] : Loops) {
-    bool Replaced = false;
-    for (BoundaryEntry &BE : Boundaries)
-      if (BE.F == Desc.F && BE.B == Desc.PreForkEntry) {
-        BE.Id = Id;
-        Replaced = true;
-        break;
-      }
-    if (!Replaced)
-      Boundaries.push_back({Desc.F, Desc.PreForkEntry, Id});
-  }
-
-  enum class Mode { Normal, PostFork, Replay };
-  Mode State = Mode::Normal;
-  PendingSpec Spec;
-  GhostArena Arena;
-  std::vector<ChainSlot> Chain(K);
-  std::unique_ptr<MainPostForkHooks> PostForkHooks;
-  uint64_t ReplayInstrs = 0;
-  uint64_t ReexecInstrsTotal = 0;
-  uint32_t ReplayRemaining = 0;
-
-  std::map<int64_t, uint64_t> LoopEnterSubtick;
-
-  auto Sink = makeStepSink([&](const StepResult &R) {
-    const size_t Depth = In.stackDepth();
-
-    if (State != Mode::Replay)
-      Core.onStep(R, Depth);
-    else
-      ++ReplayInstrs;
-
-    if (R.IsFork && Loops.count(R.I->IntImm) &&
-        !LoopEnterSubtick.count(R.I->IntImm))
-      LoopEnterSubtick[R.I->IntImm] = Core.now();
-    if (R.IsKill && Loops.count(R.I->IntImm)) {
-      auto It = LoopEnterSubtick.find(R.I->IntImm);
-      if (It != LoopEnterSubtick.end()) {
-        Result.PerLoop[R.I->IntImm].Subticks += Core.now() - It->second;
-        LoopEnterSubtick.erase(It);
-      }
-    }
-
-    switch (State) {
-    case Mode::Normal:
-      if (K != 0 && R.IsFork && Loops.count(R.I->IntImm)) {
-        const SptLoopDesc &Desc = Loops.at(R.I->IntImm);
-        if (In.topFrame().F == Desc.F) {
-          Core.charge(Machine.ForkOverhead);
-          if (FI)
-            Core.charge(FI->forkJitterSubticks());
-          Spec.resetFor(R.I->IntImm, &Desc, Depth);
-          In.copyTopRegs(Spec.Regs);
-          if (FI && !Spec.Regs.empty() && FI->shouldFlipReg()) {
-            const size_t Idx = FI->pickIndex(Spec.Regs.size());
-            Spec.Regs[Idx] = FI->corrupt(Spec.Regs[Idx]);
-            Spec.setMainWrote(static_cast<Reg>(Idx));
-          }
-          Spec.Rng = In.rng();
-          Spec.ForkSubtick = Core.now();
-          PostForkHooks = std::make_unique<MainPostForkHooks>(In, Spec);
-          In.setMemHooks(PostForkHooks.get());
-          State = Mode::PostFork;
-          ++Result.PerLoop[Spec.LoopId].Forks;
-          ++Result.CoreStats[0].Forks;
-        }
-      }
-      break;
-
-    case Mode::PostFork: {
-      if (R.I->Dst != NoReg && !R.IsCallEnter && Depth == Spec.FrameDepth)
-        Spec.setMainWrote(R.I->Dst);
-      if (R.I->Op == Opcode::Call) {
-        const Function *Callee = M.function(R.I->calleeIndex());
-        if (Callee->isExternal()) {
-          if (Callee->name() == "rnd")
-            ++Spec.MainRndCalls;
-          else if (Callee->name() == "print_int" ||
-                   Callee->name() == "print_fp")
-            ++Spec.MainIoCalls;
-        }
-      }
-
-      if (R.IsKill && R.I->IntImm == Spec.LoopId) {
-        ++Result.PerLoop[Spec.LoopId].KilledBeforeJoin;
-        In.setMemHooks(nullptr);
-        PostForkHooks.reset();
-        State = Mode::Normal;
-        break;
-      }
-
-      // Join: the main thread reached the next iteration's entry.
-      // Simulate the speculative chain in order, each committed slot
-      // arming (possibly) the next.
-      if (R.IsBranch && Depth == Spec.FrameDepth &&
-          R.NextBlock == Spec.Desc->PreForkEntry) {
-        SptLoopRunStats &Stats = Result.PerLoop[Spec.LoopId];
-        In.setMemHooks(nullptr);
-        PostForkHooks.reset();
-
-        // Slot 0 inherits the main fork's snapshot; later slots reset
-        // until their predecessor arms them.
-        const unsigned LoopRegs = Spec.Desc->F->numRegs();
-        Chain[0].Armed = true;
-        Chain[0].Regs = Spec.Regs;
-        Chain[0].Rng = Spec.Rng;
-        Chain[0].ForkSubtick = Spec.ForkSubtick;
-        Chain[0].StaleBits = Spec.MainRegWriteBits;
-        Chain[0].StaleRnd = Spec.MainRndCalls > 0;
-        for (uint32_t S = 1; S < K; ++S) {
-          Chain[S].Armed = false;
-          Chain[S].StaleBits.assign((LoopRegs + 63) / 64, 0);
-          Chain[S].StaleRnd = false;
-        }
-
-        uint32_t Committed = 0;
-        bool Cut = false;
-        for (uint32_t S = 0; S != K && Chain[S].Armed && !Cut; ++S) {
-          ChainSlot *Next = S + 1 < K ? &Chain[S + 1] : nullptr;
-          Chain[S].Out = runChainGhost(M, In, Spec, Chain, S, Next,
-                                       Machine, GhostCores[S], Arena,
-                                       /*MaxGhostSteps=*/1u << 20, FI,
-                                       Result.Perf);
-          if (Next && Next->Armed) {
-            ++Stats.Forks;
-            ++Result.CoreStats[S + 1].Forks;
-          }
-          if (Chain[S].Out.Completed && FI && FI->shouldForceSquash())
-            Chain[S].Out.Completed = false;
-          if (!Chain[S].Out.Completed) {
-            Cut = true; // First failure cuts the chain.
-            break;
-          }
-          ++Committed;
-          if (Chain[S].Out.CompletedByKill)
-            Cut = true; // Loop predicted to end: no later iteration.
-          else if (Next && Next->Armed)
-            propagateStaleness(Chain[S], *Next, Arena, LoopRegs);
-        }
-
-        // In-order commit fold over the committed prefix.
-        for (uint32_t S = 0; S != Committed; ++S) {
-          const GhostOutcome &O = Chain[S].Out;
-          ++Stats.Joins;
-          Stats.SpecInstrs += O.Instrs;
-          Stats.ReexecInstrs += O.ReexecInstrs;
-          ReexecInstrsTotal += O.ReexecInstrs;
-          if (O.Violated)
-            ++Stats.ViolatedThreads;
-          ++Result.CoreStats[S].Commits;
-          Core.advanceTo(std::max(Core.now(), O.EndSubtick));
-          Core.charge(Machine.CommitOverhead);
-          if (FI)
-            Core.charge(FI->commitJitterSubticks());
-          Core.advanceTo(Core.now() + O.ReexecSubticks);
-        }
-        // Everything armed beyond the committed prefix is squashed.
-        for (uint32_t S = Committed; S != K; ++S)
-          if (Chain[S].Armed) {
-            ++Stats.Squashed;
-            ++Result.CoreStats[S].Squashes;
-          }
-
-        if (Committed == 0) {
-          State = Mode::Normal;
-        } else {
-          ReplayRemaining = Committed;
-          State = Mode::Replay;
-        }
-      }
-      break;
-    }
-
-    case Mode::Replay:
-      // Speculatively executed iterations are replayed functionally with
-      // the clock frozen, one boundary visit per committed slot.
-      if (R.IsBranch && Depth == Spec.FrameDepth &&
-          R.NextBlock == Spec.Desc->PreForkEntry) {
-        if (--ReplayRemaining == 0)
-          State = Mode::Normal;
-      } else if (R.IsKill && R.I->IntImm == Spec.LoopId) {
-        ReplayRemaining = 0;
-        State = Mode::Normal;
-      }
-      break;
-    }
-
-    if (R.IsBranch && !Boundaries.empty()) {
-      const Function *TopF = In.done() ? nullptr : In.topFrame().F;
-      for (const BoundaryEntry &BE : Boundaries)
-        if (BE.F == TopF && BE.B == R.NextBlock) {
-          ++Result.PerLoop[BE.Id].Iterations;
-          break;
-        }
-    }
-    return true;
-  });
-  In.runBatch(Sink, MaxSteps);
+  MainCoreSink Sink(M, In, Loops, Machine, Core, GhostCores, FI, Result);
+  In.runWith(Sink, MaxSteps);
   if (!In.done())
     spt_fatal("runSpt: step budget exhausted (infinite loop?)");
 
   Result.Subticks = Core.now();
-  Result.Instrs = Core.retired() + ReplayInstrs + ReexecInstrsTotal;
+  Result.Instrs = Core.retired() + Sink.ReplayInstrs + Sink.ReexecInstrsTotal;
   Result.Result = In.returnValue();
   Result.Output = In.output();
   Result.MemoryHash = In.memoryHash();

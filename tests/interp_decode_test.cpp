@@ -11,10 +11,13 @@
 // under every entry mode the drivers use — startCall, mid-function startAt
 // (including a resume aimed at the second half of a fused pair), ghost
 // contexts with MemHooks redirection, and truncating MaxSteps budgets.
+// The engine's concrete-sink entry point (Interpreter::runWith) must in turn
+// deliver exactly the record stream runBatch hands a virtual StepSink.
 //
 //===----------------------------------------------------------------------===//
 
 #include "interp/Decode.h"
+#include "interp/DecodeEngine.h"
 #include "interp/Interp.h"
 #include "lang/Frontend.h"
 #include "lang/ProgramGenerator.h"
@@ -74,6 +77,51 @@ Trace decodedTrace(Interpreter &In, uint64_t MaxSteps) {
     T.Chain.push_back(H);
     ++T.Steps;
     return true;
+  });
+  In.runBatch(Sink, MaxSteps);
+  T.Done = In.done();
+  T.Ret = In.returnValue();
+  T.Output = In.output();
+  T.MemHash = In.memoryHash();
+  return T;
+}
+
+/// A concrete sink for Interpreter::runWith: chains record hashes exactly
+/// as decodedTrace's virtual sink does, and stops after StopAfter records.
+struct HashingSink {
+  Trace &T;
+  uint64_t H = kFnvBasis;
+  uint64_t StopAfter = ~0ull;
+
+  SPT_ALWAYS_INLINE bool onStep(const StepResult &R) {
+    H = hashStepResult(H, R);
+    T.Chain.push_back(H);
+    return ++T.Steps < StopAfter;
+  }
+};
+
+Trace concreteTrace(Interpreter &In, uint64_t MaxSteps,
+                    uint64_t StopAfter = ~0ull) {
+  Trace T;
+  HashingSink Sink{T};
+  Sink.StopAfter = StopAfter;
+  In.runWith(Sink, MaxSteps);
+  T.Done = In.done();
+  T.Ret = In.returnValue();
+  T.Output = In.output();
+  T.MemHash = In.memoryHash();
+  return T;
+}
+
+/// decodedTrace with a virtual sink that stops after \p StopAfter records.
+Trace stoppingDecodedTrace(Interpreter &In, uint64_t MaxSteps,
+                           uint64_t StopAfter) {
+  Trace T;
+  uint64_t H = kFnvBasis;
+  auto Sink = makeStepSink([&](const StepResult &R) {
+    H = hashStepResult(H, R);
+    T.Chain.push_back(H);
+    return ++T.Steps < StopAfter;
   });
   In.runBatch(Sink, MaxSteps);
   T.Done = In.done();
@@ -261,6 +309,146 @@ TEST(InterpDecodeDiffTest, SinkStopEveryRecordIncludingMidFusedPair) {
     EXPECT_EQ(Dec.returnValue().I, Ref.returnValue().I) << What;
     EXPECT_EQ(Dec.memoryHash(), Ref.memoryHash()) << What;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Concrete sinks (Interpreter::runWith).
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// runBatch with a virtual sink vs runWith with a concrete one, fresh
+/// decoded interpreters over \p M's main(); also runWith under the
+/// reference dispatch, which runWith must honour like runBatch.
+void runConcreteDifferential(const Module &M, const std::string &What,
+                             uint64_t MaxSteps = 4000000ull) {
+  const Function *F = M.findFunction("main");
+  ASSERT_NE(F, nullptr) << What;
+
+  InterpOptions IO;
+  IO.Dispatch = InterpDispatch::Decoded;
+  Interpreter Virt(M, IO);
+  Virt.startCall(F, {});
+  Trace VT = decodedTrace(Virt, MaxSteps);
+
+  Interpreter Conc(M, IO);
+  Conc.startCall(F, {});
+  Trace CT = concreteTrace(Conc, MaxSteps);
+  expectTracesEqual(VT, CT, What + " (decoded)");
+
+  IO.Dispatch = InterpDispatch::Reference;
+  Interpreter Ref(M, IO);
+  Ref.startCall(F, {});
+  Trace RT = concreteTrace(Ref, MaxSteps);
+  expectTracesEqual(VT, RT, What + " (reference dispatch)");
+}
+
+} // namespace
+
+TEST(InterpRunWithTest, ConcreteSinkMatchesRunBatchOnCorpusAndGenerated) {
+  const std::string Dir = std::string(SPT_SOURCE_DIR) + "/tests/corpus";
+  unsigned N = 0;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
+    if (Entry.path().extension() != ".sptc")
+      continue;
+    auto M = compileOrDie(readFile(Entry.path().string()));
+    runConcreteDifferential(*M, Entry.path().filename().string());
+    ++N;
+  }
+  EXPECT_GE(N, 5u) << "seed corpus went missing";
+  for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
+    auto M = compileOrDie(generateProgram(Seed));
+    runConcreteDifferential(*M, "generated seed " + std::to_string(Seed));
+  }
+}
+
+TEST(InterpRunWithTest, ConcreteSinkMatchesRunBatchAtEveryBudget) {
+  auto M = compileOrDie("int a[8];\n"
+                        "int main() { int i; int s;\n"
+                        "  for (i = 0; i < 8; i = i + 1) { a[i] = i * 3; "
+                        "s = s + a[i]; }\n"
+                        "  return s; }\n");
+  const Function *F = M->findFunction("main");
+  ASSERT_NE(F, nullptr);
+  InterpOptions IO;
+  IO.Dispatch = InterpDispatch::Decoded;
+  Interpreter Probe(*M, IO);
+  Probe.startCall(F, {});
+  const uint64_t Total = decodedTrace(Probe, ~0ull).Steps;
+  ASSERT_GT(Total, 10u);
+
+  // Every budget up to one past the whole run, so a cut lands once after
+  // every op, the first halves of fused pairs included.
+  for (uint64_t Budget = 1; Budget <= Total + 1; ++Budget) {
+    const std::string What = "budget " + std::to_string(Budget);
+    Interpreter Virt(*M, IO);
+    Virt.startCall(F, {});
+    Trace VT = decodedTrace(Virt, Budget);
+
+    Interpreter Conc(*M, IO);
+    Conc.startCall(F, {});
+    Trace CT = concreteTrace(Conc, Budget);
+
+    expectTracesEqual(VT, CT, What);
+    ASSERT_EQ(Virt.done(), Conc.done()) << What;
+    if (!Virt.done()) {
+      EXPECT_EQ(Virt.topFrame().Block, Conc.topFrame().Block) << What;
+      EXPECT_EQ(Virt.topFrame().Index, Conc.topFrame().Index) << What;
+    }
+  }
+}
+
+TEST(InterpRunWithTest, ConcreteSinkStopsOnFirstHalfOfFusedPair) {
+  auto M = compileOrDie("int a[8];\n"
+                        "int main() { int i; int s;\n"
+                        "  for (i = 0; i < 6; i = i + 1) { a[i % 8] = s + i; "
+                        "s = s + a[i % 8] * 2; }\n"
+                        "  return s; }\n");
+  const Function *F = M->findFunction("main");
+  ASSERT_NE(F, nullptr);
+  auto Img = M->decodeCache().imageFor(F);
+  ASSERT_GT(Img->NumFused, 0u);
+
+  InterpOptions IO;
+  IO.Dispatch = InterpDispatch::Decoded;
+  Interpreter Probe(*M, IO);
+  Probe.startCall(F, {});
+  const uint64_t Total = decodedTrace(Probe, ~0ull).Steps;
+  ASSERT_GT(Total, 10u);
+
+  unsigned MidPairStops = 0;
+  for (uint64_t Stop = 1; Stop < Total; ++Stop) {
+    const std::string What = "stop after record " + std::to_string(Stop);
+    Interpreter Virt(*M, IO);
+    Virt.startCall(F, {});
+    Trace VT = stoppingDecodedTrace(Virt, ~0ull, Stop);
+
+    Interpreter Conc(*M, IO);
+    Conc.startCall(F, {});
+    Trace CT = concreteTrace(Conc, ~0ull, Stop);
+
+    expectTracesEqual(VT, CT, What);
+    ASSERT_EQ(CT.Steps, Stop) << What << ": extra records after the stop";
+    ASSERT_EQ(Conc.instrCount(), Virt.instrCount()) << What;
+    ASSERT_EQ(Conc.topFrame().Block, Virt.topFrame().Block) << What;
+    ASSERT_EQ(Conc.topFrame().Index, Virt.topFrame().Index) << What;
+
+    // Stopped right after the first half of a fused pair: the machine sits
+    // on the pair's second slot.
+    const Frame &Fr = Conc.topFrame();
+    if (Fr.Index > 0 && Img->Code[Img->offsetOf(Fr.Block, Fr.Index - 1)].I1)
+      ++MidPairStops;
+
+    // Both machines resume identically through the reference shim.
+    uint64_t VH = kFnvBasis, CH = kFnvBasis;
+    while (!Virt.done())
+      VH = hashStepResult(VH, Virt.step());
+    while (!Conc.done())
+      CH = hashStepResult(CH, Conc.step());
+    ASSERT_EQ(CH, VH) << What << ": resumed tails diverge";
+    EXPECT_EQ(Conc.memoryHash(), Virt.memoryHash()) << What;
+  }
+  EXPECT_GT(MidPairStops, 0u) << "no stop landed inside a fused pair";
 }
 
 //===----------------------------------------------------------------------===//

@@ -72,10 +72,10 @@ TEST(CacheTest, LruKeepsHotLines) {
 
 TEST(BranchPredictorTest, LearnsStableDirection) {
   BranchPredictor P;
-  const Function *F = nullptr;
+  const uint32_t Fn = 0; // Module function index.
   int Wrong = 0;
   for (int I = 0; I < 100; ++I)
-    if (!P.predictAndTrain(F, 1, true))
+    if (!P.predictAndTrain(Fn, 1, true))
       ++Wrong;
   EXPECT_LE(Wrong, 2); // Warms up in two steps from strongly-not-taken.
   EXPECT_EQ(P.lookups(), 100u);
@@ -83,10 +83,10 @@ TEST(BranchPredictorTest, LearnsStableDirection) {
 
 TEST(BranchPredictorTest, AlternatingPatternHurts) {
   BranchPredictor P;
-  const Function *F = nullptr;
+  const uint32_t Fn = 0; // Module function index.
   int Wrong = 0;
   for (int I = 0; I < 100; ++I)
-    if (!P.predictAndTrain(F, 2, I % 2 == 0))
+    if (!P.predictAndTrain(Fn, 2, I % 2 == 0))
       ++Wrong;
   EXPECT_GT(Wrong, 30); // 2-bit counters cannot track alternation.
 }

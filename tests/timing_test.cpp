@@ -6,7 +6,8 @@
 //
 // Direct unit tests of the CoreTiming scoreboard: bandwidth limits,
 // dependence stalls, the in-flight window, clock control (setNow vs
-// advanceTo), misprediction penalties and cache-latency integration —
+// advanceTo), misprediction penalties, cache-latency integration and the
+// flat register arena against per-frame vectors —
 // plus frequency-propagation (Wu-Larus) numeric checks.
 //
 //===----------------------------------------------------------------------===//
@@ -17,8 +18,11 @@
 #include "interp/Interp.h"
 #include "lang/Frontend.h"
 #include "sim/CoreTiming.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace spt;
 
@@ -148,6 +152,134 @@ TEST(CoreTimingTest, ColdLoadsCostMemoryLatency) {
   const double Cycles = timedCycles(Src, 64, Machine);
   // 16 distinct lines cycled: first 16 accesses miss to memory.
   EXPECT_GT(Cycles, Machine.MemLatencyCycles);
+}
+
+/// The register scoreboard as one vector per frame, the layout CoreTiming
+/// had before its flat arena, with the same issue, window and call/return
+/// rules for the ops flatScoreboardStep generates (no loads, stores or
+/// branches). The oracle for FlatScoreboardMatchesNestedVectors.
+class NestedScoreboard {
+public:
+  explicit NestedScoreboard(const MachineConfig &M)
+      : M(M), IssueSlot(SubticksPerCycle / M.IssueWidth),
+        InFlight(M.SchedulingWindow, 0) {}
+
+  void onStep(const StepResult &R, size_t Depth) {
+    const Instr *I = R.I;
+    uint64_t Lat = I->Op == Opcode::Div   ? M.LatIntDiv
+                   : I->Op == Opcode::Ret ? M.LatBranch
+                   : R.IsCallEnter        ? M.CallOverhead
+                                          : M.LatIntAlu;
+    const size_t ExecFrame =
+        R.IsReturn ? Depth : (Depth == 0 ? 0 : Depth - 1);
+    const size_t SrcFrame =
+        R.IsCallEnter && ExecFrame > 0 ? ExecFrame - 1 : ExecFrame;
+    uint64_t IssueAt = std::max(SlotTime, InFlight[InFlightIdx]);
+    for (Reg S : I->Srcs)
+      if (SrcFrame < Frames.size() && S < Frames[SrcFrame].size())
+        IssueAt = std::max(IssueAt, Frames[SrcFrame][S]);
+    SlotTime += IssueSlot;
+    const uint64_t Done = IssueAt + IssueSlot + Lat * SubticksPerCycle;
+    Now = std::max(Now, Done);
+    InFlight[InFlightIdx] = Done;
+    InFlightIdx = (InFlightIdx + 1) % InFlight.size();
+    if (I->Dst != NoReg && !R.IsCallEnter)
+      set(SrcFrame, I->Dst, Done);
+    if (R.IsCallEnter) {
+      if (Frames.size() < Depth)
+        Frames.resize(Depth);
+      Frames[Depth - 1].clear();
+      const uint64_t Args =
+          IssueAt + IssueSlot + M.CallOverhead * SubticksPerCycle;
+      for (size_t A = 0; A != I->Srcs.size(); ++A)
+        set(Depth - 1, static_cast<Reg>(A), Args);
+      SlotTime = std::max(SlotTime, Args);
+      Now = std::max(Now, SlotTime);
+    } else if (R.IsReturn) {
+      if (Frames.size() > Depth)
+        Frames.resize(Depth);
+      SlotTime += M.CallOverhead * SubticksPerCycle / 2;
+      Now = std::max(Now, SlotTime);
+    }
+  }
+
+  void setNow(uint64_t T) {
+    Now = SlotTime = T;
+    for (auto &F : Frames)
+      std::fill(F.begin(), F.end(), T);
+    std::fill(InFlight.begin(), InFlight.end(), T);
+    InFlightIdx = 0;
+  }
+  void resetFor(uint64_t T) {
+    Now = SlotTime = T;
+    Frames.clear();
+    std::fill(InFlight.begin(), InFlight.end(), T);
+    InFlightIdx = 0;
+  }
+  uint64_t now() const { return Now; }
+
+private:
+  void set(size_t Frame, Reg R, uint64_t T) {
+    if (Frame >= Frames.size())
+      Frames.resize(Frame + 1);
+    if (R >= Frames[Frame].size())
+      Frames[Frame].resize(R + 1, 0);
+    Frames[Frame][R] = T;
+  }
+
+  const MachineConfig &M;
+  uint64_t IssueSlot;
+  uint64_t Now = 0, SlotTime = 0;
+  std::vector<uint64_t> InFlight;
+  size_t InFlightIdx = 0;
+  std::vector<std::vector<uint64_t>> Frames;
+};
+
+TEST(CoreTimingTest, FlatScoreboardMatchesNestedVectors) {
+  // Random records at random stack depths reach every arena path: frames
+  // created several at a time, writes to a frame below the top (which
+  // moves the frames above it), calls that clear a frame still holding
+  // deeper ones, returns, setNow and resetFor. The clock must match the
+  // per-frame-vector scoreboard after every step.
+  MachineConfig Machine;
+  CacheHierarchy Cache(Machine);
+  BranchPredictor Pred;
+  CoreTiming Core(Machine, Cache, Pred);
+  NestedScoreboard Ref(Machine);
+
+  Random Rng(7);
+  std::vector<Instr> Instrs(4000);
+  for (int Step = 0; Step != 4000; ++Step) {
+    Instr &I = Instrs[Step];
+    StepResult R;
+    R.I = &I;
+    const size_t Depth = 1 + static_cast<size_t>(Rng.nextBelow(6));
+    const int64_t Kind = Rng.nextBelow(10);
+    I.Op = Kind == 0 ? Opcode::Div : Opcode::Add;
+    for (int64_t S = Rng.nextBelow(3); S != 0; --S)
+      I.Srcs.push_back(static_cast<Reg>(Rng.nextBelow(48)));
+    if (Kind == 1) {
+      I.Op = Opcode::Call;
+      R.IsCallEnter = true;
+    } else if (Kind == 2) {
+      I.Op = Opcode::Ret;
+      I.Srcs.resize(std::min<size_t>(I.Srcs.size(), 1));
+      R.IsReturn = true;
+    } else {
+      I.Dst = static_cast<Reg>(Rng.nextBelow(Kind == 3 ? 400 : 48));
+    }
+    Core.onStep(R, Depth);
+    Ref.onStep(R, Depth);
+    ASSERT_EQ(Core.now(), Ref.now()) << "step " << Step;
+    if (Step % 500 == 499) {
+      Core.setNow(Core.now() + 3);
+      Ref.setNow(Ref.now() + 3);
+    }
+    if (Step % 1500 == 1499) {
+      Core.resetFor(Core.now() + 5);
+      Ref.resetFor(Ref.now() + 5);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
