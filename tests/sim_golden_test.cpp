@@ -11,6 +11,8 @@
 //   seq          cleanupModule + runSequential on the base module
 //   <mode>_c<N>  compileSpt in basic/best/anticipated mode for an N-core
 //                machine, then runSpt on that machine, for N = 2 and 4
+//   <mode>_c<N>_report
+//                the fnv1a of that compile's renderReportDeterministic
 //
 // Each run is reduced to the fnv1a of a pointer-free dump of every result
 // field except Perf: subticks, instructions, the result value, program
@@ -18,7 +20,8 @@
 // per-loop record (keyed by function name and loop id) and the per-core
 // chain statistics (SPT). The digests are compared with
 // tests/goldens/sims.golden, so any change to simulated timing or to a
-// speculation counter shows up here.
+// speculation counter shows up here, and so does any change to a compile
+// report.
 //
 // To refresh after an intentional change to the machine model:
 //
@@ -151,6 +154,8 @@ GoldenMap digestsFor(const std::string &Program,
       EXPECT_EQ(Spt.Output, Seq.Output) << Program << " " << Run;
       EXPECT_EQ(Spt.MemoryHash, Seq.MemoryHash) << Program << " " << Run;
       Out[Program + " " + Run] = hex16(fnv1a(dumpSpt(Spt, Report.SptLoops)));
+      Out[Program + " " + Run + "_report"] =
+          hex16(fnv1a(renderReportDeterministic(Report)));
     }
   return Out;
 }
@@ -171,7 +176,7 @@ void checkDigests(const GoldenMap &Got) {
     auto It = Want.find(Key);
     ASSERT_NE(It, Want.end()) << "no golden digest for '" << Key << "'";
     EXPECT_EQ(Digest, It->second)
-        << "simulation '" << Key << "' changed. If intentional, refresh "
+        << "'" << Key << "' changed. If intentional, refresh "
         << "with\n  UPDATE_GOLDENS=1 ./build/tests/sim_golden_test\n"
         << "and review git diff tests/goldens/sims.golden.";
   }
