@@ -13,15 +13,14 @@
 //   baseline  retained pre-optimization evaluation paths, sequential
 //             (ReferencePartitionEvaluation; the pre-PR behaviour),
 //   seq       incremental scratch evaluation, sequential,
-//   par       incremental scratch evaluation, parallel pass 1,
 //   obs       seq with span tracing and counter recording enabled; its
 //             wall time against seq is the observability overhead, and
 //             its aggregate stats dump lands in the JSON output.
 //
-// All four must produce byte-identical deterministic reports (the
-// incremental cost path is bit-exact against the reference, the parallel
-// merge is deterministic, and observability never feeds back into
-// planning); the binary fails loudly if they do not.
+// All three must produce byte-identical deterministic reports (the
+// incremental cost path is bit-exact against the reference, and
+// observability never feeds back into planning); the binary fails loudly
+// if they do not.
 //
 // Phase 2 — a partition-search stress sweep. The workload sources are
 // compact teaching kernels whose loops carry only a handful of violation
@@ -43,8 +42,7 @@
 // Results go to stdout and to a JSON file (default BENCH_compile.json)
 // for the bench trajectory.
 //
-// Flags: --quick (3 workloads, small stress graphs, 1 repeat), --jobs=N
-// (parallel config's thread count; 0 = hardware concurrency), --repeat=N
+// Flags: --quick (3 workloads, small stress graphs, 1 repeat), --repeat=N
 // (keep the fastest of N timings), --out=PATH.
 //
 //===----------------------------------------------------------------------===//
@@ -56,6 +54,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace spt;
@@ -75,14 +74,13 @@ struct ConfigRun {
 /// when non-null, turns on span tracing and counter recording into that
 /// shared context (the "obs" configuration); null compiles with
 /// observability off, the facade's default.
-ConfigRun runConfig(const Workload &W, bool Reference, uint32_t Jobs,
-                    int Repeat, ObsContext *Obs = nullptr) {
+ConfigRun runConfig(const Workload &W, bool Reference, int Repeat,
+                    ObsContext *Obs = nullptr) {
   ConfigRun Out;
   for (int R = 0; R != Repeat; ++R) {
     auto M = compileWorkload(W);
     SptCompilerOptions Opts;
     Opts.ReferencePartitionEvaluation = Reference;
-    Opts.Jobs = Jobs;
     if (Obs)
       Opts = Opts.withTracing(Obs);
     Compiler C(Opts);
@@ -215,37 +213,31 @@ std::string fmt2(double V) {
 
 int main(int Argc, char **Argv) {
   bool Quick = false;
-  uint32_t Jobs = 0; // Hardware concurrency.
   int Repeat = 3;
   std::string OutPath = "BENCH_compile.json";
   for (int I = 1; I != Argc; ++I) {
     const std::string Arg = Argv[I];
     if (Arg == "--quick") {
       Quick = true;
-    } else if (Arg.rfind("--jobs=", 0) == 0) {
-      Jobs = static_cast<uint32_t>(std::atoi(Arg.c_str() + 7));
     } else if (Arg.rfind("--repeat=", 0) == 0) {
       Repeat = std::max(1, std::atoi(Arg.c_str() + 9));
     } else if (Arg.rfind("--out=", 0) == 0) {
       OutPath = Arg.substr(6);
     } else {
       errs() << "unknown flag: " << Arg
-             << " (expected --quick --jobs=N --repeat=N --out=PATH)\n";
+             << " (expected --quick --repeat=N --out=PATH)\n";
       return 2;
     }
   }
   if (Quick)
     Repeat = 1;
-  const uint32_t EffectiveJobs =
-      Jobs == 0 ? ThreadPool::defaultConcurrency() : Jobs;
   const unsigned StressFiller = Quick ? 2 : 8;
   const unsigned StressK = Quick ? 4 : 8;
 
   outs() << "==============================================================\n";
   outs() << " perf_compile: pass-1 + partition-search wall time\n";
   outs() << " baseline = reference evaluation (pre-optimization paths)\n";
-  outs() << " par jobs = " << EffectiveJobs << ", repeat = " << Repeat
-         << ", stress = " << StressFiller << " pinned + " << StressK
+  outs() << " repeat = " << Repeat << ", stress = " << StressFiller << " pinned + " << StressK
          << " movable copies\n";
   outs() << "==============================================================\n";
 
@@ -254,10 +246,9 @@ int main(int Argc, char **Argv) {
     Suite.resize(3);
 
   Table T({"workload", "nodes", "cost evals", "baseline (s)", "seq (s)",
-           "par (s)", "obs (s)", "speedup seq", "speedup par",
-           "identical"});
+           "obs (s)", "speedup seq", "identical"});
 
-  double BaseTotal = 0.0, SeqTotal = 0.0, ParTotal = 0.0, ObsTotal = 0.0;
+  double BaseTotal = 0.0, SeqTotal = 0.0, ObsTotal = 0.0;
   uint64_t NodesTotal = 0, EvalsTotal = 0;
   bool AllIdentical = true;
   ObsContext ObsCtx; // Shared sink for every obs-configuration compile.
@@ -266,35 +257,28 @@ int main(int Argc, char **Argv) {
 
   for (size_t WI = 0; WI != Suite.size(); ++WI) {
     const Workload &W = Suite[WI];
-    const ConfigRun Base = runConfig(W, /*Reference=*/true, 1, Repeat);
-    const ConfigRun Seq = runConfig(W, /*Reference=*/false, 1, Repeat);
-    const ConfigRun Par = runConfig(W, /*Reference=*/false, Jobs, Repeat);
-    const ConfigRun Obs =
-        runConfig(W, /*Reference=*/false, 1, Repeat, &ObsCtx);
+    const ConfigRun Base = runConfig(W, /*Reference=*/true, Repeat);
+    const ConfigRun Seq = runConfig(W, /*Reference=*/false, Repeat);
+    const ConfigRun Obs = runConfig(W, /*Reference=*/false, Repeat, &ObsCtx);
 
-    const bool Identical = Base.Rendered == Seq.Rendered &&
-                           Seq.Rendered == Par.Rendered &&
-                           Seq.Rendered == Obs.Rendered;
+    const bool Identical =
+        Base.Rendered == Seq.Rendered && Seq.Rendered == Obs.Rendered;
     AllIdentical = AllIdentical && Identical;
     BaseTotal += Base.PassOneSeconds;
     SeqTotal += Seq.PassOneSeconds;
-    ParTotal += Par.PassOneSeconds;
     ObsTotal += Obs.PassOneSeconds;
     NodesTotal += Seq.Nodes;
     EvalsTotal += Seq.CostEvals;
 
     const double SpeedSeq = Base.PassOneSeconds / Seq.PassOneSeconds;
-    const double SpeedPar = Base.PassOneSeconds / Par.PassOneSeconds;
     T.beginRow();
     T.cell(W.Name);
     T.cell(Seq.Nodes);
     T.cell(Seq.CostEvals);
     T.cell(fmt(Base.PassOneSeconds));
     T.cell(fmt(Seq.PassOneSeconds));
-    T.cell(fmt(Par.PassOneSeconds));
     T.cell(fmt(Obs.PassOneSeconds));
     T.cell(fmt2(SpeedSeq));
-    T.cell(fmt2(SpeedPar));
     T.cell(Identical ? "yes" : "NO");
 
     Json += "    {\"name\": \"" + W.Name + "\"";
@@ -302,10 +286,8 @@ int main(int Argc, char **Argv) {
     Json += ", \"cost_evals\": " + std::to_string(Seq.CostEvals);
     Json += ", \"baseline_seconds\": " + fmt(Base.PassOneSeconds);
     Json += ", \"seq_seconds\": " + fmt(Seq.PassOneSeconds);
-    Json += ", \"par_seconds\": " + fmt(Par.PassOneSeconds);
     Json += ", \"obs_seconds\": " + fmt(Obs.PassOneSeconds);
     Json += ", \"speedup_seq\": " + fmt2(SpeedSeq);
-    Json += ", \"speedup_par\": " + fmt2(SpeedPar);
     Json += std::string(", \"reports_identical\": ") +
             (Identical ? "true" : "false") + "}";
     Json += WI + 1 != Suite.size() ? ",\n" : "\n";
@@ -314,11 +296,9 @@ int main(int Argc, char **Argv) {
   T.print(outs());
 
   const double SpeedSeq = BaseTotal / SeqTotal;
-  const double SpeedPar = BaseTotal / ParTotal;
   const double ObsOverhead = SeqTotal == 0.0 ? 0.0 : ObsTotal / SeqTotal;
   outs() << "\npass 1: baseline " << fmt(BaseTotal) << " s, seq "
-         << fmt(SeqTotal) << " s (" << fmt2(SpeedSeq) << "x), par "
-         << fmt(ParTotal) << " s (" << fmt2(SpeedPar) << "x), obs "
+         << fmt(SeqTotal) << " s (" << fmt2(SpeedSeq) << "x), obs "
          << fmt(ObsTotal) << " s (" << fmt2(ObsOverhead)
          << "x of seq with tracing on)\n";
   outs() << "deterministic reports "
@@ -348,12 +328,9 @@ int main(int Argc, char **Argv) {
 
   const double TotalBase = BaseTotal + StressRef.Seconds;
   const double TotalSeq = SeqTotal + StressInc.Seconds;
-  const double TotalPar = ParTotal + StressInc.Seconds;
   const double TotalSpeedSeq = TotalBase / TotalSeq;
-  const double TotalSpeedPar = TotalBase / TotalPar;
   outs() << "\ntotal (pass 1 + stress): baseline " << fmt(TotalBase)
          << " s, seq " << fmt(TotalSeq) << " s (" << fmt2(TotalSpeedSeq)
-         << "x), par " << fmt(TotalPar) << " s (" << fmt2(TotalSpeedPar)
          << "x)\n";
 
   Json += "  ],\n";
@@ -375,20 +352,15 @@ int main(int Argc, char **Argv) {
   Json += "  \"total\": {";
   Json += "\"baseline_seconds\": " + fmt(TotalBase);
   Json += ", \"seq_seconds\": " + fmt(TotalSeq);
-  Json += ", \"par_seconds\": " + fmt(TotalPar);
   Json += ", \"speedup_seq\": " + fmt2(TotalSpeedSeq);
-  Json += ", \"speedup_par\": " + fmt2(TotalSpeedPar);
   Json += ", \"pass1_baseline_seconds\": " + fmt(BaseTotal);
   Json += ", \"pass1_seq_seconds\": " + fmt(SeqTotal);
-  Json += ", \"pass1_par_seconds\": " + fmt(ParTotal);
   Json += ", \"pass1_speedup_seq\": " + fmt2(SpeedSeq);
-  Json += ", \"pass1_speedup_par\": " + fmt2(SpeedPar);
   Json += ", \"nodes\": " + std::to_string(NodesTotal + StressInc.Nodes);
   Json += ", \"cost_evals\": " +
           std::to_string(EvalsTotal + StressInc.CostEvals);
-  Json += ", \"par_jobs\": " + std::to_string(EffectiveJobs);
   Json += ", \"hardware_concurrency\": " +
-          std::to_string(ThreadPool::defaultConcurrency());
+          std::to_string(std::thread::hardware_concurrency());
   Json += std::string(", \"reports_identical\": ") +
           (AllIdentical ? "true" : "false");
   Json += "},\n";

@@ -27,8 +27,7 @@
 namespace spt {
 
 /// Facade over the two-pass pipeline. Not thread-safe: one Compiler per
-/// thread (compilations themselves may be internally parallel via
-/// SptCompilerOptions::Jobs).
+/// thread.
 class Compiler {
 public:
   Compiler() : Compiler(SptCompilerOptions()) {}

@@ -21,8 +21,6 @@
 #include "transform/SptTransform.h"
 #include "transform/Unroll.h"
 
-#include "support/ThreadPool.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -334,9 +332,8 @@ private:
   void stageProfile();
   void stageSvp();
   void passOne();
-  /// Pass-1 analysis of one loop candidate. Const because candidates may
-  /// evaluate concurrently: shared state is read-only here, and all
-  /// outputs land in the caller-owned \p Rec / \p Diags / \p Blocks.
+  /// Pass-1 analysis of one loop candidate: fills \p Rec and \p Blocks
+  /// and appends its diagnostics to \p Diags.
   void evaluateLoopCandidate(const Function &F, const FuncAnalysis &A,
                              const Loop &L, const CallEffects &Effects,
                              LoopRecord &Rec, DiagnosticLog &Diags,
@@ -763,48 +760,22 @@ void Compilation::passOne() {
   const auto PassStart = std::chrono::steady_clock::now();
   CallEffects Effects = CallEffects::compute(M);
 
-  // Gather the independent loop candidates in deterministic order
-  // (function order, then loop index), sharing one analysis per function.
-  struct Candidate {
-    const Function *F = nullptr;
-    std::shared_ptr<FuncAnalysis> A;
-    const Loop *L = nullptr;
-  };
-  std::vector<Candidate> Cands;
+  // Evaluate the loop candidates in deterministic order (function order,
+  // then loop index), sharing one analysis per function.
+  uint64_t Candidates = 0;
   for (Function *F : definedFunctions()) {
-    auto A = std::make_shared<FuncAnalysis>(*F, &Profile->Edges, *Oracle);
-    for (uint32_t LI = 0; LI != A->Nest.numLoops(); ++LI)
-      Cands.push_back(Candidate{F, A, A->Nest.loop(LI)});
+    const FuncAnalysis A(*F, &Profile->Edges, *Oracle);
+    for (uint32_t LI = 0; LI != A.Nest.numLoops(); ++LI) {
+      const Loop &L = *A.Nest.loop(LI);
+      ObsSpan S(Obs, Obs ? "pass1.loop " + F->name() + ":" +
+                               std::to_string(L.Header)
+                         : std::string());
+      evaluateLoopCandidate(*F, A, L, Effects, Report.Loops.emplace_back(),
+                            Report.Diags, LoopBlocks[{F->name(), L.Header}]);
+      ++Candidates;
+    }
   }
-
-  // Evaluate candidates — concurrently when Jobs allows it. Every shared
-  // input (module, profile, weights, options) is only read; every output
-  // lands in the candidate's own slot and merges below in candidate
-  // order, so the report is byte-identical at any job count.
-  struct CandResult {
-    LoopRecord Rec;
-    DiagnosticLog Diags;
-    std::set<BlockId> Blocks;
-  };
-  std::vector<CandResult> Results(Cands.size());
-  const unsigned Jobs =
-      Opts.Jobs == 0 ? ThreadPool::defaultConcurrency() : Opts.Jobs;
-  obsAdd(Obs, "driver.pass1.candidates", Cands.size());
-  parallelForIndexed(Jobs, Cands.size(), [&](size_t I) {
-    ObsSpan S(Obs, Obs ? "pass1.loop " + Cands[I].F->name() + ":" +
-                             std::to_string(Cands[I].L->Header)
-                       : std::string());
-    evaluateLoopCandidate(*Cands[I].F, *Cands[I].A, *Cands[I].L, Effects,
-                          Results[I].Rec, Results[I].Diags,
-                          Results[I].Blocks);
-  });
-
-  for (CandResult &R : Results) {
-    LoopBlocks[{R.Rec.FuncName, R.Rec.Header}] = std::move(R.Blocks);
-    for (const Diagnostic &D : R.Diags.all())
-      Report.Diags.add(D);
-    Report.Loops.push_back(std::move(R.Rec));
-  }
+  obsAdd(Obs, "driver.pass1.candidates", Candidates);
   Report.PassOneSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     PassStart)

@@ -92,12 +92,6 @@ const char *rejectReasonName(RejectReason Reason);
 ///   Enabling       Stage B/C enabling techniques and their ablation
 ///                  switches.
 ///   Observability  The span/counter layer (off by default).
-///
-/// The pre-regroup flat field names (`Opts.CostFraction`, …) are gone:
-/// write `Opts.Selection.CostFraction` etc. (The deprecated reference
-/// aliases and the copy machinery they forced were removed once the last
-/// in-tree users migrated — see docs/observability.md, "Options
-/// migration".)
 struct SptCompilerOptions {
   CompilationMode Mode = CompilationMode::Best;
 
@@ -213,13 +207,6 @@ struct SptCompilerOptions {
   /// partial and must not be cached or compared.
   const CancelToken *Cancel = nullptr;
 
-  /// Pass-1 worker threads: independent loop candidates (each with its own
-  /// dependence graph, cost model and partition search) evaluate
-  /// concurrently, and their records, diagnostics and block sets merge in
-  /// loop order afterwards — so the report is byte-identical at any
-  /// setting (see renderReportDeterministic). 1 = sequential (default);
-  /// 0 = hardware concurrency.
-  uint32_t Jobs = 1;
   /// Use the retained pre-optimization cost/partition evaluation paths
   /// (allocating per-node cost calls, O(E*V) cost-graph construction).
   /// Results are bit-identical to the default incremental paths; this is
@@ -227,7 +214,7 @@ struct SptCompilerOptions {
   bool ReferencePartitionEvaluation = false;
 
   // --- Builder: mode factories plus chainable with*() setters. ---
-  //   auto Opts = SptCompilerOptions::best().withJobs(8).withTracing();
+  //   auto Opts = SptCompilerOptions::best().withCores(4).withTracing();
   static SptCompilerOptions basic() {
     SptCompilerOptions O;
     O.Mode = CompilationMode::Basic;
@@ -246,11 +233,6 @@ struct SptCompilerOptions {
   SptCompilerOptions withMode(CompilationMode M) const {
     SptCompilerOptions O = *this;
     O.Mode = M;
-    return O;
-  }
-  SptCompilerOptions withJobs(uint32_t J) const {
-    SptCompilerOptions O = *this;
-    O.Jobs = J;
     return O;
   }
   SptCompilerOptions withSeed(uint64_t Seed) const {
@@ -369,7 +351,7 @@ struct CompilationReport {
   double PassOneSeconds = 0.0;
   /// Counter/histogram/span-count snapshot of the observability layer;
   /// empty unless Observability.Enabled. Deterministic for a given seed
-  /// and module at any Jobs setting, but deliberately excluded from
+  /// and module, but deliberately excluded from
   /// renderReportDeterministic so enabling tracing cannot perturb report
   /// comparisons. Render with renderStatsText/renderStatsJson.
   StatsSnapshot Stats;
@@ -390,9 +372,9 @@ CompilationReport compileSpt(Module &M, const SptCompilerOptions &Opts);
 /// Serializes every deterministic field of \p Report — modes, degradation,
 /// per-loop records (costs and weights at full %.17g precision, partitions,
 /// search statistics, failure details), diagnostics, and the SPT loop-id
-/// map. Wall-clock fields (PassOneSeconds) are excluded. Byte-equal output
-/// across SptCompilerOptions::Jobs settings is the determinism contract the
-/// parallel pass-1 tests and bench/perf_compile enforce.
+/// map. Wall-clock fields (PassOneSeconds) are excluded. The report-diff
+/// and cache-diff fuzz oracles, bench/perf_compile and
+/// tests/goldens/sims.golden compare reports through it.
 std::string renderReportDeterministic(const CompilationReport &Report);
 
 } // namespace spt

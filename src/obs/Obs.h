@@ -13,8 +13,8 @@
 ///
 /// Determinism contract: counters are additive (or max-merged) integers
 /// updated with relaxed atomics, so their totals are independent of thread
-/// interleaving — the same compilation yields the same StatsSnapshot at
-/// Jobs=1 and Jobs=8. Hot loops do not touch the registry directly; they
+/// interleaving — the same compilations yield the same StatsSnapshot
+/// however the batch server schedules them. Hot loops do not touch the registry directly; they
 /// accumulate plain integers locally and flush once per search / per
 /// simulation (see PartitionSearch::run and runSpt). The stats dump
 /// deliberately excludes wall-clock durations — those live only in the
@@ -220,7 +220,7 @@ private:
 /// Renders \p S as a flat, deterministic, human-readable table: one
 /// `name value` line per counter, histograms as count/sum plus nonempty
 /// buckets, span names with occurrence counts. Byte-identical across runs
-/// with the same seed and across Jobs settings.
+/// with the same seed.
 std::string renderStatsText(const StatsSnapshot &S);
 
 /// Same content as renderStatsText but as a JSON object with "counters",

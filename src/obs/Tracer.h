@@ -11,9 +11,9 @@
 /// nesting per thread, which the Chrome trace_event exporter and its
 /// validator rely on).
 ///
-/// Thread safety: spans may begin and end on any thread (the pass-1
-/// ThreadPool workers trace their loop candidates concurrently); recording
-/// takes one short mutex hold per span end. Thread ids are mapped to small
+/// Thread safety: spans may begin and end on any thread (batch-server
+/// workers sharing one context trace their compilations concurrently);
+/// recording takes one short mutex hold per span end. Thread ids are mapped to small
 /// dense integers in first-appearance order.
 ///
 /// Cost model: the tracer is only ever reached through an `ObsContext *`

@@ -53,8 +53,8 @@ void appendField(std::string &Out, const char *Name, uint64_t V) {
 
 uint64_t spt::compilerOptionsFingerprint(const SptCompilerOptions &O) {
   // Serialize every report-affecting knob into a canonical string and
-  // hash it. Jobs, Cancel and Observability are excluded on purpose —
-  // the determinism contract (renderReportDeterministic) guarantees they
+  // hash it. Cancel and Observability are excluded on purpose — the
+  // determinism contract (renderReportDeterministic) guarantees they
   // cannot change the report, and including them would needlessly split
   // the cache. ProfileArgs are not serialized: the server always
   // compiles with the default empty argument list.
@@ -364,7 +364,6 @@ ServeOutcome BatchCompileServer::compileRequest(const ServeRequest &R) {
           BasicRung ? Opts.Compiler.withMode(CompilationMode::Basic)
                     : Opts.Compiler;
       O.Cancel = &Deadline;
-      O.Jobs = 1; // Parallelism is across requests, never within one.
 
       CompileResult CR = compileSource(Canonical);
       if (!CR.ok()) {

@@ -9,10 +9,8 @@
 /// programs in, one structured outcome per program out — with the
 /// robustness envelope an offline compiler never needs (docs/serving.md).
 ///
-/// Parallelism is ACROSS compilations, not within one. BENCH_compile
-/// showed per-program pass-1 fan-out loses on real loop counts (programs
-/// are too small to amortize it), so each worker runs a whole
-/// compilation at Jobs=1 and the fleet scales by request count:
+/// Parallelism is ACROSS compilations, not within one: each worker runs
+/// a whole (sequential) compilation and the fleet scales by request count:
 /// per-worker deques with round-robin placement and work stealing keep
 /// every core busy even when program sizes are skewed.
 ///
@@ -85,9 +83,8 @@ struct ServeOptions {
   /// Compile cache capacity in entries; 0 disables caching.
   size_t CacheCapacity = 4096;
   /// Base options for the first ladder rung; the Basic rung derives from
-  /// them via withMode(Basic). Jobs is forced to 1 per request (the
-  /// server parallelizes across requests). Cancel is overwritten with
-  /// the per-attempt token.
+  /// them via withMode(Basic). Cancel is overwritten with the per-attempt
+  /// token.
   SptCompilerOptions Compiler;
   /// P(an attempt faults) under chaos; 0 disables chaos entirely.
   double ChaosFaultRate = 0.0;
@@ -161,7 +158,7 @@ struct ServeBatchReport {
 };
 
 /// Fingerprint of every report-affecting compiler option, for cache
-/// keying. Jobs, Cancel and Observability are deliberately excluded: the
+/// keying. Cancel and Observability are deliberately excluded: the
 /// determinism contract says they cannot change the rendered report.
 uint64_t compilerOptionsFingerprint(const SptCompilerOptions &Opts);
 

@@ -13,10 +13,11 @@
 /// redundant parens) share one canonical form; the key is
 /// fnv1a(canonical source) combined with a fingerprint of every
 /// report-affecting compiler option (mode, seeds, selection/machine/
-/// enabling knobs — NOT Jobs or observability, which the determinism
-/// contract guarantees cannot change the report). The cache-diff oracle
-/// in src/testing enforces the keying assumption end-to-end: a warm-cache
-/// compile must render byte-identically to a cold one.
+/// enabling knobs — NOT cancellation or observability, which the
+/// determinism contract guarantees cannot change the report). The
+/// cache-diff oracle in src/testing enforces the keying assumption
+/// end-to-end: a warm-cache compile must render byte-identically to a
+/// cold one.
 ///
 /// Integrity: each entry stores its payload (the deterministic report
 /// rendering) plus an fnv1a checksum taken at insertion. lookup()

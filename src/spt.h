@@ -66,7 +66,6 @@
 #include "support/OStream.h"
 #include "support/Status.h"
 #include "support/Table.h"
-#include "support/ThreadPool.h"
 #include "testing/Corpus.h"
 #include "testing/Fuzzer.h"
 #include "testing/Mutator.h"

@@ -10,22 +10,23 @@
 // support/Statistics.h, and — through compileSpt and the spt::Compiler
 // facade — the determinism contract of the whole instrumented pipeline:
 //
-//   * the stats dump is byte-identical across runs and across Jobs
-//     settings (counters are additive/max-merged, histograms bucket by
-//     value, the dump carries no wall-clock),
+//   * the stats dump is byte-identical across runs (counters are
+//     additive/max-merged, histograms bucket by value, the dump carries
+//     no wall-clock),
 //   * enabling tracing leaves renderReportDeterministic byte-identical,
 //   * the exported trace is valid Chrome trace_event JSON with properly
 //     nested spans.
 //
-// Also pins the SptCompilerOptions regrouping: deprecated flat aliases
-// share storage with the nested fields, and copies rebind aliases to
-// their own nested structs.
+// Also pins the grouped SptCompilerOptions: nested option structs copy
+// by value, and the builder setters chain.
 //
 //===----------------------------------------------------------------------===//
 
 #include "spt.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 using namespace spt;
 
@@ -339,13 +340,11 @@ TEST(OptionsTest, BuilderChains) {
   ObsContext Ctx;
   CancelToken Tok;
   const SptCompilerOptions O = SptCompilerOptions::anticipated()
-                                   .withJobs(8)
                                    .withSeed(99)
                                    .withPartitionDeadline(1.5)
                                    .withCancel(&Tok)
                                    .withTracing(&Ctx);
   EXPECT_EQ(O.Mode, CompilationMode::Anticipated);
-  EXPECT_EQ(O.Jobs, 8u);
   EXPECT_EQ(O.RngSeed, 99u);
   EXPECT_DOUBLE_EQ(O.MaxPartitionSeconds, 1.5);
   EXPECT_EQ(O.Cancel, &Tok);
@@ -357,18 +356,15 @@ TEST(OptionsTest, BuilderChains) {
 
 // --- Instrumented pipeline ----------------------------------------------===//
 
-/// Compiles the first \p NumWorkloads workloads into \p Ctx at \p Jobs and
-/// returns the deterministic report renderings.
-std::vector<std::string> compileInto(ObsContext &Ctx, uint32_t Jobs,
-                                     size_t NumWorkloads) {
+/// Compiles the first \p NumWorkloads workloads into \p Ctx and returns
+/// the deterministic report renderings.
+std::vector<std::string> compileInto(ObsContext &Ctx, size_t NumWorkloads) {
   std::vector<Workload> Suite = allWorkloads();
   Suite.resize(NumWorkloads);
   std::vector<std::string> Rendered;
   for (const Workload &W : Suite) {
     auto M = compileWorkload(W);
-    SptCompilerOptions Opts = SptCompilerOptions::best()
-                                  .withJobs(Jobs)
-                                  .withTracing(&Ctx);
+    SptCompilerOptions Opts = SptCompilerOptions::best().withTracing(&Ctx);
     Rendered.push_back(renderReportDeterministic(compileSpt(*M, Opts)));
   }
   return Rendered;
@@ -376,8 +372,8 @@ std::vector<std::string> compileInto(ObsContext &Ctx, uint32_t Jobs,
 
 TEST(PipelineObsTest, StatsDumpByteIdenticalAcrossRuns) {
   ObsContext A, B;
-  compileInto(A, 1, 3);
-  compileInto(B, 1, 3);
+  compileInto(A, 3);
+  compileInto(B, 3);
   const std::string DumpA = renderStatsText(A.snapshot());
   EXPECT_EQ(DumpA, renderStatsText(B.snapshot()));
   // The pipeline counters the dump must carry (the acceptance set):
@@ -386,19 +382,6 @@ TEST(PipelineObsTest, StatsDumpByteIdenticalAcrossRuns) {
   EXPECT_NE(DumpA.find("partition.nodes.visited"), std::string::npos);
   EXPECT_NE(DumpA.find("cost.scratch."), std::string::npos);
   EXPECT_NE(DumpA.find("driver.compilations 3"), std::string::npos);
-}
-
-TEST(PipelineObsTest, CounterTotalsIdenticalAcrossJobs) {
-  // Counters are sums and max-merges of per-loop quantities, histograms
-  // bucket by value, span counts ignore threads: the whole snapshot is
-  // interleaving-independent, so the dump matches at any Jobs setting.
-  ObsContext J1, J4, J8;
-  compileInto(J1, 1, 3);
-  compileInto(J4, 4, 3);
-  compileInto(J8, 8, 3);
-  const std::string D1 = renderStatsText(J1.snapshot());
-  EXPECT_EQ(D1, renderStatsText(J4.snapshot()));
-  EXPECT_EQ(D1, renderStatsText(J8.snapshot()));
 }
 
 TEST(PipelineObsTest, TracingLeavesReportByteIdentical) {
@@ -460,22 +443,15 @@ TEST(PipelineObsTest, SimFastPathCountersFlushedAndPinned) {
   EXPECT_EQ(RA.Perf.ViolationBatches, Ghosts);
 }
 
-TEST(PipelineObsTest, KwayCountersFlushedAndJobsInvariant) {
+TEST(PipelineObsTest, KwayCountersFlushedAndPinned) {
   // Compiling for a 4-core machine runs the k-way chain search on every
-  // searched loop; its telemetry must be Jobs-invariant like the rest of
-  // the snapshot, and pinned to the report's own Kway records.
-  auto compileKway = [](ObsContext &Ctx, uint32_t Jobs) {
-    auto M = compileWorkload(allWorkloads()[0]);
-    return compileSpt(*M, SptCompilerOptions::best()
-                              .withJobs(Jobs)
-                              .withCores(4)
-                              .withTracing(&Ctx));
-  };
-  ObsContext J1, J4;
-  const CompilationReport R1 = compileKway(J1, 1);
-  compileKway(J4, 4);
-  const StatsSnapshot S1 = J1.snapshot();
-  EXPECT_EQ(renderStatsText(S1), renderStatsText(J4.snapshot()));
+  // searched loop; its telemetry must be pinned to the report's own Kway
+  // records.
+  auto M = compileWorkload(allWorkloads()[0]);
+  ObsContext Ctx;
+  const CompilationReport R1 = compileSpt(
+      *M, SptCompilerOptions::best().withCores(4).withTracing(&Ctx));
+  const StatsSnapshot S1 = Ctx.snapshot();
 
   uint64_t Searches = 0, Levels = 0, Nodes = 0, Evals = 0;
   for (const LoopRecord &L : R1.Loops) {
@@ -525,8 +501,12 @@ TEST(PipelineObsTest, CoreChainCountersPinnedToCoreStats) {
 }
 
 TEST(PipelineObsTest, ExportedTraceValidatesAndNests) {
+  // Two threads compile into one context, as batch-server workers do, so
+  // the trace has more than one lane.
   ObsContext Ctx;
-  compileInto(Ctx, 4, 2); // Parallel pass 1: multiple trace lanes.
+  std::thread Other([&] { compileInto(Ctx, 1); });
+  compileInto(Ctx, 2);
+  Other.join();
   const std::string Trace = exportChromeTrace(Ctx.Trace);
   std::string Err;
   size_t N = 0;

@@ -12,12 +12,10 @@
 //                    per-loop span timeline of every compilation.
 //   spt_stats.txt    the deterministic stats dump (counters, histogram
 //                    buckets, span counts; no wall-clock), byte-identical
-//                    across runs at Jobs=1.
+//                    across runs.
 //
 // Validate the trace with tools/tracecheck. Flags:
 //
-//   --jobs=N        pass-1 parallelism (default 1, the deterministic-dump
-//                   configuration)
 //   --trace=PATH    trace output path (default spt_trace.json)
 //   --stats=PATH    stats output path (default spt_stats.txt)
 //   --json          write the stats dump as JSON instead of text
@@ -36,16 +34,13 @@
 using namespace spt;
 
 int main(int Argc, char **Argv) {
-  uint32_t Jobs = 1;
   std::string TracePath = "spt_trace.json";
   std::string StatsPath = "spt_stats.txt";
   bool JsonStats = false;
   size_t MaxWorkloads = SIZE_MAX;
   for (int I = 1; I != Argc; ++I) {
     const std::string Arg = Argv[I];
-    if (Arg.rfind("--jobs=", 0) == 0) {
-      Jobs = static_cast<uint32_t>(std::atoi(Arg.c_str() + 7));
-    } else if (Arg.rfind("--trace=", 0) == 0) {
+    if (Arg.rfind("--trace=", 0) == 0) {
       TracePath = Arg.substr(8);
     } else if (Arg.rfind("--stats=", 0) == 0) {
       StatsPath = Arg.substr(8);
@@ -55,8 +50,8 @@ int main(int Argc, char **Argv) {
       MaxWorkloads = static_cast<size_t>(std::atoll(Arg.c_str() + 12));
     } else {
       std::fprintf(stderr,
-                   "spttrace: unknown flag %s (expected --jobs=N "
-                   "--trace=PATH --stats=PATH --json --workloads=N)\n",
+                   "spttrace: unknown flag %s (expected --trace=PATH "
+                   "--stats=PATH --json --workloads=N)\n",
                    Arg.c_str());
       return 2;
     }
@@ -66,7 +61,7 @@ int main(int Argc, char **Argv) {
   if (Suite.size() > MaxWorkloads)
     Suite.resize(MaxWorkloads);
 
-  Compiler C(SptCompilerOptions::best().withJobs(Jobs).withTracing());
+  Compiler C(SptCompilerOptions::best().withTracing());
   for (const Workload &W : Suite) {
     auto M = compileWorkload(W);
     CompilationReport Report = C.compile(*M);
