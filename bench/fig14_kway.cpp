@@ -10,8 +10,9 @@
 // trustworthy rather than merely plausible:
 //
 //  - reports_identical: at Cores=2 the generalized N-core engine must be
-//    byte-identical to the retained two-core reference engine — subticks,
-//    instruction counts, architectural state, every per-loop counter.
+//    byte-identical to the two-core reference engine kept as a test
+//    oracle in testing/ReferenceSptSim.h — subticks, instruction counts,
+//    architectural state, every per-loop counter.
 //  - every width preserves the workload's checksum (evaluateWorkload
 //    aborts on divergence), so no speedup is reported from a wrong run.
 //
@@ -27,6 +28,7 @@
 #include "bench/BenchCommon.h"
 
 #include "spt.h"
+#include "testing/ReferenceSptSim.h"
 
 #include <cstdio>
 #include <cstring>
@@ -83,12 +85,10 @@ SweepRow sweepWorkload(const Workload &W) {
     Row.Subticks[CI] = ME.Spt.Subticks;
     Row.Speedup[CI] = ME.speedupOver(E.Seq);
     if (kCores[CI] == 2) {
-      // Differential: replay the identical run through the retained
-      // two-core reference engine and demand byte-identity.
+      // Differential: replay the identical run through the two-core
+      // reference engine and demand byte-identity.
       const SptSimResult Ref =
-          runSpt(*ME.M, "main", {}, ME.Report.SptLoops, EO.Machine,
-                 500000000ull, 0x5eed5eed5eedull, nullptr, nullptr,
-                 SimOptions::twoCoreReference());
+          runSptTwoCore(*ME.M, "main", {}, ME.Report.SptLoops, EO.Machine);
       Row.ReportsIdentical = sameSpt(ME.Spt, Ref);
     }
   }

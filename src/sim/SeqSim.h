@@ -19,7 +19,7 @@
 
 #include "interp/Interp.h"
 #include "sim/Machine.h"
-#include "sim/SimOptions.h"
+#include "sim/SimPerfCounters.h"
 
 #include <map>
 #include <string>
@@ -55,7 +55,7 @@ struct SeqSimResult {
   uint64_t BranchLookups = 0;
   uint64_t BranchMispredicts = 0;
 
-  /// Implementation counters (sim/SimOptions.h); all zero for the
+  /// Implementation counters (sim/SimPerfCounters.h); all zero for the
   /// sequential simulator. Not part of the architectural report.
   SimPerfCounters Perf;
 

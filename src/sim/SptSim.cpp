@@ -15,31 +15,28 @@
 // pass is order-equivalent to the former inline closure because producers
 // always precede consumers in the trace.
 //
-// Two engines share this machinery (SimOptions::Engine):
+// The scoreboard lives in sim/SpecMachinery.h, shared with the two-core
+// reference engine (testing/ReferenceSptSim.cpp, a test oracle).
 //
-//   * TwoCoreReference — the original one-main-one-spec driver, kept
-//     verbatim below as the differential baseline.
-//   * Generalized — MachineConfig::Cores-1 speculative chain slots. A
-//     ghost's own fork marker arms the next slot (snapshot registers +
-//     RNG at the ghost's clock, fork overhead charged on the arming
-//     core); slots are simulated in order at the join, reading through
-//     their own buffer, then every earlier slot's buffer (newest first —
-//     a hit whose producing store re-executes is a cross-core
-//     violation), then the main core's undo log, then memory. Committed
-//     slots fold into the main clock in program order (commit overhead +
-//     re-execution slice each); the first squashed slot cuts the chain
-//     and discards everything later. At Cores=2 the chain degenerates to
-//     exactly the reference engine — byte-identical reports, MemoryHash
-//     and counters, enforced by the kway-diff oracle and
-//     tests/kway_sim_test.cpp.
+// The engine runs MachineConfig::Cores-1 speculative chain slots. A
+// ghost's own fork marker arms the next slot (snapshot registers + RNG at
+// the ghost's clock, fork overhead charged on the arming core); slots are
+// simulated in order at the join, reading through their own buffer, then
+// every earlier slot's buffer (newest first — a hit whose producing store
+// re-executes is a cross-core violation), then the main core's undo log,
+// then memory. Committed slots fold into the main clock in program order
+// (commit overhead + re-execution slice each); the first squashed slot
+// cuts the chain and discards everything later. At Cores=2 the chain
+// degenerates to exactly the reference engine — byte-identical reports,
+// MemoryHash and counters, enforced by the kway-diff oracle and
+// tests/kway_sim_test.cpp.
 //
-// The generalized engine's main core and chain ghosts are concrete step
-// sinks (MainCoreSink, ChainGhostSink): the decoded engine is instantiated
-// with each (Interpreter::runWith), so per-step timing and trace recording
-// are compiled into every opcode handler, while the fork/join state
-// machine and chain arming run out of line. Stateful builtins are resolved
-// to a kind per module function index once per run. The reference engine
-// keeps its lambda sinks on Interpreter::runBatch.
+// The main core and chain ghosts are concrete step sinks (MainCoreSink,
+// ChainGhostSink): the decoded engine is instantiated with each
+// (Interpreter::runWith), so per-step timing and trace recording are
+// compiled into every opcode handler, while the fork/join state machine
+// and chain arming run out of line. Stateful builtins are resolved to a
+// kind per module function index once per run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,6 +45,7 @@
 #include "interp/DecodeEngine.h"
 #include "sim/CoreTiming.h"
 #include "sim/FaultInjector.h"
+#include "sim/SpecMachinery.h"
 #include "support/Compiler.h"
 #include "support/Debug.h"
 
@@ -58,670 +56,6 @@
 using namespace spt;
 
 namespace {
-
-/// Open-addressing (linear probe) address map with O(1) epoch-based
-/// clearing: the speculation buffer and the undo log. Never shrinks; one
-/// arena serves every speculative thread of a run.
-class SpecAddrMap {
-public:
-  struct Slot {
-    uint64_t Addr = 0;
-    uint64_t Epoch = 0;
-    Value V{};
-    int32_t Writer = -1;
-  };
-
-  void reset() {
-    ++Epoch;
-    Live = 0;
-  }
-
-  const Slot *find(uint64_t Addr) const {
-    if (Live == 0)
-      return nullptr;
-    size_t I = indexOf(Addr);
-    while (true) {
-      const Slot &S = Slots[I];
-      if (S.Epoch != Epoch)
-        return nullptr;
-      if (S.Addr == Addr)
-        return &S;
-      if (++I == Slots.size())
-        I = 0;
-    }
-  }
-
-  void insertOrAssign(uint64_t Addr, Value V, int32_t Writer) {
-    ensureCapacity();
-    Slot &S = findSlot(Addr);
-    S.V = V;
-    S.Writer = Writer;
-  }
-
-  /// First write wins (undo log: the pre-fork value).
-  void insertIfAbsent(uint64_t Addr, Value V) {
-    ensureCapacity();
-    const bool Existed = Live > 0 && find(Addr) != nullptr;
-    if (Existed)
-      return;
-    Slot &S = findSlot(Addr);
-    S.V = V;
-    S.Writer = -1;
-  }
-
-private:
-  static size_t mix(uint64_t X) {
-    X ^= X >> 33;
-    X *= 0xff51afd7ed558ccdull;
-    X ^= X >> 33;
-    return static_cast<size_t>(X);
-  }
-  size_t indexOf(uint64_t Addr) const {
-    return mix(Addr) & (Slots.size() - 1);
-  }
-
-  Slot &findSlot(uint64_t Addr) {
-    size_t I = indexOf(Addr);
-    while (Slots[I].Epoch == Epoch && Slots[I].Addr != Addr)
-      if (++I == Slots.size())
-        I = 0;
-    if (Slots[I].Epoch != Epoch) {
-      ++Live;
-      Slots[I].Epoch = Epoch;
-      Slots[I].Addr = Addr;
-    }
-    return Slots[I];
-  }
-
-  void ensureCapacity() {
-    if (Slots.empty()) {
-      Slots.resize(64);
-      return;
-    }
-    if (Live * 4 < Slots.size() * 3)
-      return;
-    std::vector<Slot> Old;
-    Old.swap(Slots);
-    Slots.resize(Old.size() * 2);
-    Live = 0;
-    for (const Slot &S : Old)
-      if (S.Epoch == Epoch) {
-        Slot &N = findSlot(S.Addr);
-        N.V = S.V;
-        N.Writer = S.Writer;
-      }
-  }
-
-  std::vector<Slot> Slots;
-  uint64_t Epoch = 1;
-  size_t Live = 0;
-};
-
-/// Per-step ghost memory semantics: reads hit the speculation buffer,
-/// then the undo log (a stale value: violation), then shared memory;
-/// writes are buffered.
-class GhostMemHooks final : public Interpreter::MemHooks {
-public:
-  GhostMemHooks(const Interpreter &Ghost, SpecAddrMap &SpecBuffer,
-                const SpecAddrMap &UndoLog, FaultInjector *Injector)
-      : Ghost(Ghost), SpecBuffer(SpecBuffer), UndoLog(UndoLog),
-        Injector(Injector) {}
-
-  Value onLoad(uint64_t Addr, Value Fallback) override {
-    LastLoadViolated = false;
-    LastLoadInjected = false;
-    LastLoadSpecWriter = -1;
-    Value V = Fallback;
-    if (const SpecAddrMap::Slot *Spec = SpecBuffer.find(Addr)) {
-      LastLoadSpecWriter = Spec->Writer;
-      V = Spec->V;
-    } else if (const SpecAddrMap::Slot *Undo = UndoLog.find(Addr)) {
-      LastLoadViolated = true;
-      V = Undo->V;
-    }
-    // Injected corruption models a wrong speculative value the hardware
-    // detects at commit: the consuming instruction joins the re-execution
-    // slice (the driver loop checks LastLoadInjected).
-    if (Injector && Injector->shouldFlipLoad()) {
-      LastLoadInjected = true;
-      V = Injector->corrupt(V);
-    }
-    return V;
-  }
-
-  bool onStore(uint64_t Addr, Value V) override {
-    // The producing trace entry: the ghost runs from instrCount()==0 and
-    // the count is bumped before each instruction executes, so the
-    // instruction doing this store is entry instrCount()-1. (The batched
-    // runner retires fused pairs in one dispatch, so a driver-maintained
-    // "current entry" would go stale inside a pair.)
-    SpecBuffer.insertOrAssign(Addr, V,
-                              static_cast<int32_t>(Ghost.instrCount() - 1));
-    return true; // Never reaches shared memory.
-  }
-
-  /// Outputs of the last load.
-  bool LastLoadViolated = false;
-  bool LastLoadInjected = false;
-  int32_t LastLoadSpecWriter = -1;
-
-private:
-  const Interpreter &Ghost;
-  SpecAddrMap &SpecBuffer;
-  const SpecAddrMap &UndoLog;
-  FaultInjector *Injector;
-};
-
-/// Result of simulating one speculative thread.
-struct GhostOutcome {
-  bool Completed = false;
-  /// Completed by speculating the loop's end (SPT_KILL). Generalized
-  /// engine only: cuts the chain — no later iteration exists.
-  bool CompletedByKill = false;
-  bool Violated = false;
-  uint64_t EndSubtick = 0;
-  uint64_t Instrs = 0;
-  uint64_t ReexecInstrs = 0;
-  uint64_t ReexecSubticks = 0;
-};
-
-/// State captured when the main thread forks. Arena-reused across forks.
-struct PendingSpec {
-  int64_t LoopId = -1;
-  const SptLoopDesc *Desc = nullptr;
-  size_t FrameDepth = 0; ///< Main's stack depth at the fork.
-  std::vector<Value> Regs;
-  Random Rng;
-  uint64_t ForkSubtick = 0;
-  /// Registers the main thread wrote post-fork (loop-frame), as a bitset
-  /// over the loop function's registers.
-  std::vector<uint64_t> MainRegWriteBits;
-  SpecAddrMap UndoLog;
-  uint64_t MainRndCalls = 0;
-  uint64_t MainIoCalls = 0;
-
-  void resetFor(int64_t Id, const SptLoopDesc *D, size_t Depth) {
-    LoopId = Id;
-    Desc = D;
-    FrameDepth = Depth;
-    MainRegWriteBits.assign((D->F->numRegs() + 63) / 64, 0);
-    UndoLog.reset();
-    MainRndCalls = 0;
-    MainIoCalls = 0;
-  }
-  bool mainWrote(Reg R) const {
-    return (R >> 6) < MainRegWriteBits.size() &&
-           (MainRegWriteBits[R >> 6] >> (R & 63)) & 1;
-  }
-  SPT_ALWAYS_INLINE void setMainWrote(Reg R) {
-    if ((R >> 6) >= MainRegWriteBits.size())
-      MainRegWriteBits.resize((R >> 6) + 1, 0);
-    MainRegWriteBits[R >> 6] |= 1ull << (R & 63);
-  }
-};
-
-/// Undo-logging hook for the main core's post-fork leg.
-class MainPostForkHooks final : public Interpreter::MemHooks {
-public:
-  MainPostForkHooks(Interpreter &In, PendingSpec &Spec)
-      : In(In), Spec(Spec) {}
-
-  Value onLoad(uint64_t, Value Fallback) override { return Fallback; }
-
-  bool onStore(uint64_t Addr, Value) override {
-    Spec.UndoLog.insertIfAbsent(Addr, In.peekAddr(Addr)); // First write wins.
-    return false;                                         // Write through.
-  }
-
-private:
-  Interpreter &In;
-  PendingSpec &Spec;
-};
-
-/// An append-only trace column: a vector's push_back with the growth path
-/// out of line, so an append inlines into a ghost sink's handlers.
-template <class T> class TraceColumn {
-public:
-  SPT_ALWAYS_INLINE void push_back(T V) {
-    if (SPT_UNLIKELY(Size == Data.size()))
-      grow();
-    Data[Size++] = V;
-  }
-  T operator[](size_t I) const { return Data[I]; }
-  size_t size() const { return Size; }
-  void clear() { Size = 0; }
-
-private:
-  SPT_NOINLINE void grow() {
-    Data.resize(Data.empty() ? 1024 : 2 * Data.size());
-  }
-
-  std::vector<T> Data;
-  size_t Size = 0;
-};
-
-/// Structure-of-arrays ghost trace and last-writer tables, arena-reused
-/// across speculative threads (epoch/run-id tagged, O(1) begin).
-struct GhostArena {
-  // Per-trace-entry columns.
-  TraceColumn<uint8_t> Direct;     ///< Directly violated.
-  TraceColumn<uint8_t> IsLoad;
-  TraceColumn<int32_t> SpecWriter; ///< Spec-buffer producer entry or -1.
-  TraceColumn<uint32_t> SrcBegin;  ///< Offsets into SrcWriters (+sentinel).
-  TraceColumn<int32_t> SrcWriters; ///< Resolved register producers.
-  std::vector<uint8_t> Reexec;     ///< Closure output.
-  // Last-writer tables: per frame, per register, (run id, trace index).
-  std::vector<std::vector<std::pair<uint32_t, int32_t>>> Writers;
-  uint32_t RunId = 0;
-  /// Registers the ghost wrote in the loop frame (frame 0), as a bitset.
-  std::vector<uint64_t> GhostWrote;
-
-  void beginRun(unsigned LoopRegs) {
-    ++RunId;
-    Direct.clear();
-    IsLoad.clear();
-    SpecWriter.clear();
-    SrcBegin.clear();
-    SrcWriters.clear();
-    GhostWrote.assign((LoopRegs + 63) / 64, 0);
-  }
-  SPT_ALWAYS_INLINE int32_t writerOf(size_t Frame, Reg R) const {
-    if (Frame >= Writers.size())
-      return -1;
-    const auto &W = Writers[Frame];
-    if (R >= W.size() || W[R].first != RunId)
-      return -1;
-    return W[R].second;
-  }
-  SPT_ALWAYS_INLINE void setWriter(size_t Frame, Reg R, int32_t Idx) {
-    if (Frame >= Writers.size())
-      Writers.resize(Frame + 1);
-    auto &W = Writers[Frame];
-    if (R >= W.size())
-      W.resize(R + 1, {0, -1});
-    W[R] = {RunId, Idx};
-  }
-  SPT_ALWAYS_INLINE bool ghostWrote(Reg R) const {
-    return (R >> 6) < GhostWrote.size() &&
-           (GhostWrote[R >> 6] >> (R & 63)) & 1;
-  }
-  SPT_ALWAYS_INLINE void setGhostWrote(Reg R) {
-    if ((R >> 6) >= GhostWrote.size())
-      GhostWrote.resize((R >> 6) + 1, 0);
-    GhostWrote[R >> 6] |= 1ull << (R & 63);
-  }
-};
-
-/// Simulates the speculative thread (one full iteration) as a ghost.
-GhostOutcome runGhost(const Module &M, Interpreter &MainIn,
-                      const PendingSpec &Spec, const MachineConfig &Machine,
-                      CoreTiming &Core, GhostArena &A,
-                      SpecAddrMap &SpecBuffer, uint64_t MaxGhostSteps,
-                      FaultInjector *Injector, SimPerfCounters &Perf) {
-  GhostOutcome Out;
-
-  Interpreter Ghost(M, MainIn);
-  Ghost.rng() = Spec.Rng;
-  Ghost.startAt(Spec.Desc->F, Spec.Desc->PreForkEntry, 0, Spec.Regs);
-
-  SpecBuffer.reset();
-  GhostMemHooks Hooks(Ghost, SpecBuffer, Spec.UndoLog, Injector);
-  Ghost.setMemHooks(&Hooks);
-
-  Core.resetFor(Spec.ForkSubtick);
-  A.beginRun(Spec.Desc->F->numRegs());
-
-  uint32_t N = 0;
-  auto Sink = makeStepSink([&](const StepResult &R) {
-    const size_t Depth = Ghost.stackDepth();
-    // Depth before the step: calls push their frame before the record,
-    // returns pop theirs.
-    const size_t DepthBefore =
-        R.IsCallEnter ? Depth - 1 : (R.IsReturn ? Depth + 1 : Depth);
-    Core.onStep(R, Depth);
-
-    // Frame the instruction read its operands in: always the top frame
-    // before the step (returns pop after reading; calls push after).
-    const size_t SrcFrame = DepthBefore - 1;
-
-    uint8_t Direct = 0;
-    A.SrcBegin.push_back(static_cast<uint32_t>(A.SrcWriters.size()));
-    for (Reg S : R.I->Srcs) {
-      A.SrcWriters.push_back(A.writerOf(SrcFrame, S));
-      // Violations: stale register reads at the loop frame.
-      if (SrcFrame == 0 && !A.ghostWrote(S) && Spec.mainWrote(S))
-        Direct = 1;
-    }
-
-    // Violations: stale memory reads, and injected value corruption
-    // (modelled as hardware-detected misspeculation).
-    if (R.IsLoad && (Hooks.LastLoadViolated || Hooks.LastLoadInjected))
-      Direct = 1;
-
-    // Violations: racing stateful builtins.
-    if (R.I->Op == Opcode::Call) {
-      const Function *Callee = M.function(R.I->calleeIndex());
-      if (Callee->isExternal()) {
-        if (Callee->name() == "rnd" && Spec.MainRndCalls > 0)
-          Direct = 1;
-        if (Callee->name() == "print_int" || Callee->name() == "print_fp")
-          Direct = 1; // I/O cannot speculate.
-      }
-    }
-
-    A.Direct.push_back(Direct);
-    A.IsLoad.push_back(R.IsLoad);
-    A.SpecWriter.push_back(R.IsLoad ? Hooks.LastLoadSpecWriter : -1);
-
-    // Record writes.
-    if (R.I->Dst != NoReg && !R.IsCallEnter) {
-      A.setWriter(SrcFrame, R.I->Dst, static_cast<int32_t>(N));
-      if (SrcFrame == 0)
-        A.setGhostWrote(R.I->Dst);
-    }
-    ++N;
-
-    // Stop conditions: completed one iteration, predicted loop exit, or
-    // the loop frame returned.
-    if (R.IsBranch && Depth == 1 &&
-        R.NextBlock == Spec.Desc->PreForkEntry) {
-      Out.Completed = true;
-      return false;
-    }
-    if (R.IsKill && R.I->IntImm == Spec.LoopId) {
-      Out.Completed = true; // Speculated that the loop ends.
-      return false;
-    }
-    if (R.IsReturn && Depth == 0)
-      return false; // Fell out of the loop frame: treat as squashed.
-    return true;
-  });
-  Ghost.runBatch(Sink, MaxGhostSteps);
-
-  Ghost.setMemHooks(nullptr);
-  Out.EndSubtick = Core.now();
-  Out.Instrs = N;
-  A.SrcBegin.push_back(static_cast<uint32_t>(A.SrcWriters.size()));
-
-  // Batched violation closure over this buffer epoch: one forward pass
-  // over the SoA trace inherits re-execution from register producers and
-  // speculation-buffer flow. Producers precede consumers, so the pass is
-  // equivalent to the former per-access inline closure.
-  ++Perf.ViolationBatches;
-  A.Reexec.assign(N, 0);
-  const uint64_t IssueSlot = SubticksPerCycle / Machine.IssueWidth;
-  for (uint32_t I = 0; I != N; ++I) {
-    uint8_t Rx = A.Direct[I];
-    if (!Rx) {
-      for (uint32_t S = A.SrcBegin[I]; S != A.SrcBegin[I + 1]; ++S) {
-        const int32_t W = A.SrcWriters[S];
-        if (W >= 0 && A.Reexec[static_cast<uint32_t>(W)]) {
-          Rx = 1;
-          break;
-        }
-      }
-      if (!Rx && A.SpecWriter[I] >= 0 &&
-          A.Reexec[static_cast<uint32_t>(A.SpecWriter[I])])
-        Rx = 1;
-    }
-    A.Reexec[I] = Rx;
-    if (Rx) {
-      ++Out.ReexecInstrs;
-      Out.ReexecSubticks +=
-          IssueSlot + (A.IsLoad[I] ? Machine.L1.HitLatencyCycles *
-                                         SubticksPerCycle
-                                   : 0);
-    }
-  }
-  Out.Violated = Out.ReexecInstrs != 0;
-  return Out;
-}
-
-/// The original one-main-one-spec driver, retained verbatim as the
-/// SptSimEngine::TwoCoreReference baseline the generalized engine must
-/// match byte-for-byte at Cores=2. Ignores MachineConfig::Cores.
-SptSimResult runSptTwoCore(const Module &M, const std::string &FnName,
-                           const std::vector<Value> &Args,
-                           const std::map<int64_t, SptLoopDesc> &Loops,
-                           const MachineConfig &Machine, uint64_t MaxSteps,
-                           uint64_t RngSeed, FaultInjector *Injector,
-                           ObsContext *Obs) {
-  ObsSpan RunSpan(Obs, "sim.runSpt");
-  const Function *F = M.findFunction(FnName);
-  if (!F)
-    spt_fatal("runSpt: no such function");
-  // An inert injector is the same as no injector.
-  FaultInjector *FI = Injector && Injector->enabled() ? Injector : nullptr;
-
-  InterpOptions IOpts;
-  IOpts.RngSeed = RngSeed;
-  Interpreter In(M, IOpts);
-  In.startCall(F, Args);
-
-  CacheHierarchy Cache(Machine);
-  BranchPredictor MainPredictor, SpecPredictor;
-  CoreTiming Core(Machine, Cache, MainPredictor);
-  CoreTiming GhostCore(Machine, Cache, SpecPredictor);
-
-  SptSimResult Result;
-
-  // Iteration-boundary lookup: (function, block) -> loop id. A handful
-  // of entries; a linear scan beats the former std::map per branch.
-  struct BoundaryEntry {
-    const Function *F;
-    BlockId B;
-    int64_t Id;
-  };
-  std::vector<BoundaryEntry> Boundaries;
-  for (const auto &[Id, Desc] : Loops) {
-    bool Replaced = false;
-    for (BoundaryEntry &BE : Boundaries)
-      if (BE.F == Desc.F && BE.B == Desc.PreForkEntry) {
-        BE.Id = Id; // Same overwrite semantics as the former map.
-        Replaced = true;
-        break;
-      }
-    if (!Replaced)
-      Boundaries.push_back({Desc.F, Desc.PreForkEntry, Id});
-  }
-
-  enum class Mode { Normal, PostFork, Replay };
-  Mode State = Mode::Normal;
-  PendingSpec Spec;
-  GhostArena Arena;
-  SpecAddrMap SpecBuffer;
-  std::unique_ptr<MainPostForkHooks> PostForkHooks;
-  uint64_t ReplayInstrs = 0;
-  uint64_t ReexecInstrsTotal = 0;
-
-  // Wall-time attribution per loop.
-  std::map<int64_t, uint64_t> LoopEnterSubtick;
-
-  auto Sink = makeStepSink([&](const StepResult &R) {
-    const size_t Depth = In.stackDepth();
-
-    if (State != Mode::Replay)
-      Core.onStep(R, Depth);
-    else
-      ++ReplayInstrs;
-
-    // Loop wall-time tracking.
-    if (R.IsFork && Loops.count(R.I->IntImm) &&
-        !LoopEnterSubtick.count(R.I->IntImm))
-      LoopEnterSubtick[R.I->IntImm] = Core.now();
-    if (R.IsKill && Loops.count(R.I->IntImm)) {
-      auto It = LoopEnterSubtick.find(R.I->IntImm);
-      if (It != LoopEnterSubtick.end()) {
-        Result.PerLoop[R.I->IntImm].Subticks += Core.now() - It->second;
-        LoopEnterSubtick.erase(It);
-      }
-    }
-
-    switch (State) {
-    case Mode::Normal:
-      if (R.IsFork && Loops.count(R.I->IntImm)) {
-        const SptLoopDesc &Desc = Loops.at(R.I->IntImm);
-        if (In.topFrame().F == Desc.F) {
-          // Spawn: snapshot the loop frame context.
-          Core.charge(Machine.ForkOverhead);
-          if (FI)
-            Core.charge(FI->forkJitterSubticks());
-          Spec.resetFor(R.I->IntImm, &Desc, Depth);
-          In.copyTopRegs(Spec.Regs);
-          if (FI && !Spec.Regs.empty() && FI->shouldFlipReg()) {
-            // Corrupt one snapshot register — the speculative thread's
-            // input state, where SVP's predicted values live. Marking it
-            // as a main-thread write makes ghost reads of it violations,
-            // i.e. the hardware detects the stale/wrong value and the
-            // dependent slice is re-executed.
-            const size_t Idx = FI->pickIndex(Spec.Regs.size());
-            Spec.Regs[Idx] = FI->corrupt(Spec.Regs[Idx]);
-            Spec.setMainWrote(static_cast<Reg>(Idx));
-          }
-          Spec.Rng = In.rng();
-          Spec.ForkSubtick = Core.now();
-          PostForkHooks = std::make_unique<MainPostForkHooks>(In, Spec);
-          In.setMemHooks(PostForkHooks.get());
-          State = Mode::PostFork;
-          ++Result.PerLoop[Spec.LoopId].Forks;
-        }
-      }
-      break;
-
-    case Mode::PostFork: {
-      // Track the main thread's post-fork effects.
-      if (R.I->Dst != NoReg && !R.IsCallEnter && Depth == Spec.FrameDepth)
-        Spec.setMainWrote(R.I->Dst);
-      if (R.I->Op == Opcode::Call) {
-        const Function *Callee = M.function(R.I->calleeIndex());
-        if (Callee->isExternal()) {
-          if (Callee->name() == "rnd")
-            ++Spec.MainRndCalls;
-          else if (Callee->name() == "print_int" ||
-                   Callee->name() == "print_fp")
-            ++Spec.MainIoCalls;
-        }
-      }
-
-      // Loop exit while the speculative thread runs: kill it.
-      if (R.IsKill && R.I->IntImm == Spec.LoopId) {
-        ++Result.PerLoop[Spec.LoopId].KilledBeforeJoin;
-        In.setMemHooks(nullptr);
-        PostForkHooks.reset();
-        State = Mode::Normal;
-        break;
-      }
-
-      // Join: the main thread reached the next iteration's entry.
-      if (R.IsBranch && Depth == Spec.FrameDepth &&
-          R.NextBlock == Spec.Desc->PreForkEntry) {
-        SptLoopRunStats &Stats = Result.PerLoop[Spec.LoopId];
-        In.setMemHooks(nullptr);
-        PostForkHooks.reset();
-
-        GhostOutcome Ghost =
-            runGhost(M, In, Spec, Machine, GhostCore, Arena, SpecBuffer,
-                     /*MaxGhostSteps=*/1u << 20, FI, Result.Perf);
-        if (Ghost.Completed && FI && FI->shouldForceSquash())
-          Ghost.Completed = false; // Injected: hardware lost the buffer.
-        if (!Ghost.Completed) {
-          // Squashed: the main thread simply executes the iteration
-          // itself at full cost.
-          ++Stats.Squashed;
-          State = Mode::Normal;
-          break;
-        }
-        ++Stats.Joins;
-        Stats.SpecInstrs += Ghost.Instrs;
-        Stats.ReexecInstrs += Ghost.ReexecInstrs;
-        ReexecInstrsTotal += Ghost.ReexecInstrs;
-        if (Ghost.Violated)
-          ++Stats.ViolatedThreads;
-
-        const uint64_t Joined = std::max(Core.now(), Ghost.EndSubtick);
-        Core.advanceTo(Joined);
-        Core.charge(Machine.CommitOverhead);
-        if (FI)
-          Core.charge(FI->commitJitterSubticks());
-        Core.advanceTo(Core.now() + Ghost.ReexecSubticks);
-        State = Mode::Replay;
-      }
-      break;
-    }
-
-    case Mode::Replay:
-      // The speculative thread already executed this iteration; the main
-      // interpreter replays it functionally with the clock frozen.
-      if (R.IsBranch && Depth == Spec.FrameDepth &&
-          R.NextBlock == Spec.Desc->PreForkEntry) {
-        State = Mode::Normal;
-      } else if (R.IsKill && R.I->IntImm == Spec.LoopId) {
-        // Loop ended inside the replayed iteration (wall time was already
-        // attributed by the generic kill handling above).
-        State = Mode::Normal;
-      }
-      break;
-    }
-
-    // Iteration counting at boundaries (any mode).
-    if (R.IsBranch && !Boundaries.empty()) {
-      const Function *TopF = In.done() ? nullptr : In.topFrame().F;
-      for (const BoundaryEntry &BE : Boundaries)
-        if (BE.F == TopF && BE.B == R.NextBlock) {
-          ++Result.PerLoop[BE.Id].Iterations;
-          break;
-        }
-    }
-    return true;
-  });
-  In.runBatch(Sink, MaxSteps);
-  if (!In.done())
-    spt_fatal("runSpt: step budget exhausted (infinite loop?)");
-
-  Result.Subticks = Core.now();
-  Result.Instrs = Core.retired() + ReplayInstrs + ReexecInstrsTotal;
-  Result.Result = In.returnValue();
-  Result.Output = In.output();
-  Result.MemoryHash = In.memoryHash();
-
-  // One batched flush of the run's speculation counters; the simulation
-  // loop above never touches the registry.
-  if (Obs) {
-    obsAdd(Obs, "sim.runs", 1);
-    obsAdd(Obs, "sim.chaos_runs", FI ? 1 : 0);
-    SptLoopRunStats Tot;
-    for (const auto &[Id, S] : Result.PerLoop) {
-      (void)Id;
-      Tot.Forks += S.Forks;
-      Tot.Joins += S.Joins;
-      Tot.KilledBeforeJoin += S.KilledBeforeJoin;
-      Tot.Squashed += S.Squashed;
-      Tot.ViolatedThreads += S.ViolatedThreads;
-      Tot.SpecInstrs += S.SpecInstrs;
-      Tot.ReexecInstrs += S.ReexecInstrs;
-      Tot.Iterations += S.Iterations;
-    }
-    obsAdd(Obs, "sim.forks", Tot.Forks);
-    obsAdd(Obs, "sim.joins", Tot.Joins);
-    obsAdd(Obs, "sim.killed_before_join", Tot.KilledBeforeJoin);
-    obsAdd(Obs, "sim.squashes", Tot.Squashed);
-    // Every violated join is recovered by main-core re-execution
-    // (sequential semantics hold by construction), so violations and
-    // recoveries coincide; clean joins banked their speculative work.
-    obsAdd(Obs, "sim.recoveries", Tot.ViolatedThreads);
-    obsAdd(Obs, "sim.clean_joins", Tot.Joins - Tot.ViolatedThreads);
-    obsAdd(Obs, "sim.spec_instrs", Tot.SpecInstrs);
-    obsAdd(Obs, "sim.reexec_instrs", Tot.ReexecInstrs);
-    obsAdd(Obs, "sim.iterations", Tot.Iterations);
-    obsSample(Obs, "sim.reexec_per_run", Tot.ReexecInstrs);
-    obsAdd(Obs, "sim.violation.batch", Result.Perf.ViolationBatches);
-  }
-  return Result;
-}
-
-//===----------------------------------------------------------------------===//
-// Generalized N-core engine
-//===----------------------------------------------------------------------===//
 
 /// The stateful builtin of every module function, by function index:
 /// resolved once per run, not by name per call.
@@ -754,7 +88,7 @@ struct ChainSlot {
   Random Rng;
   uint64_t ForkSubtick = 0;
   /// Loop registers whose snapshot value may differ from committed
-  /// sequential state (the generalization of the reference engine's
+  /// sequential state (the generalization of the two-core engine's
   /// main-wrote-post-fork set). Reads of these are violations.
   std::vector<uint64_t> StaleBits;
   /// The snapshot RNG state races an earlier thread's rnd() use.
@@ -786,8 +120,8 @@ struct ChainSlot {
 /// main < slot 0 < slot 1 < ...; a hit forwarded from a re-executed
 /// store is a cross-core violation), then the main core's undo log (a
 /// stale value: violation), then shared memory. Writes are buffered. At
-/// slot 0 the predecessor walk is empty and this is exactly the
-/// reference engine's GhostMemHooks.
+/// slot 0 the predecessor walk is empty and this is exactly the two-core
+/// reference engine's ghost memory (testing/ReferenceSptSim.cpp).
 class ChainMemHooks final : public Interpreter::MemHooks {
 public:
   ChainMemHooks(const Interpreter &Ghost, std::vector<ChainSlot> &Chain,
@@ -977,7 +311,7 @@ void ChainGhostSink::onFork(const StepResult &R, size_t SrcFrame) {
 }
 
 /// Simulates chain slot \p SlotIdx as a ghost. Structured exactly like
-/// the reference engine's runGhost, with three additions: staleness
+/// the two-core reference engine's ghost, with three additions: staleness
 /// comes from the slot (not the main-thread write set), loads walk the
 /// predecessor buffers, and the slot's own fork marker arms \p Next.
 GhostOutcome runChainGhost(const Module &M, Interpreter &MainIn,
@@ -1339,17 +673,14 @@ void MainCoreSink::join() {
   }
 }
 
-/// The generalized SptSimEngine::Generalized driver: Cores-1 chained
-/// speculative slots per fork, in-order commit with cross-core violation
-/// closure, per-slot CoreTiming/BranchPredictor over the shared cache
-/// hierarchy. Cores=1 disables speculation; Cores=2 is byte-identical to
-/// runSptTwoCore.
-SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
-                               const std::vector<Value> &Args,
-                               const std::map<int64_t, SptLoopDesc> &Loops,
-                               const MachineConfig &Machine,
-                               uint64_t MaxSteps, uint64_t RngSeed,
-                               FaultInjector *Injector, ObsContext *Obs) {
+} // namespace
+
+SptSimResult spt::runSpt(const Module &M, const std::string &FnName,
+                         const std::vector<Value> &Args,
+                         const std::map<int64_t, SptLoopDesc> &Loops,
+                         const MachineConfig &Machine, uint64_t MaxSteps,
+                         uint64_t RngSeed, FaultInjector *Injector,
+                         ObsContext *Obs) {
   ObsSpan RunSpan(Obs, "sim.runSpt");
   const Function *F = M.findFunction(FnName);
   if (!F)
@@ -1428,19 +759,4 @@ SptSimResult runSptGeneralized(const Module &M, const std::string &FnName,
     obsAdd(Obs, "sim.core.chain_forks", ChainForks);
   }
   return Result;
-}
-
-} // namespace
-
-SptSimResult spt::runSpt(const Module &M, const std::string &FnName,
-                         const std::vector<Value> &Args,
-                         const std::map<int64_t, SptLoopDesc> &Loops,
-                         const MachineConfig &Machine, uint64_t MaxSteps,
-                         uint64_t RngSeed, FaultInjector *Injector,
-                         ObsContext *Obs, const SimOptions &Sim) {
-  if (Sim.Engine == SptSimEngine::TwoCoreReference)
-    return runSptTwoCore(M, FnName, Args, Loops, Machine, MaxSteps, RngSeed,
-                         Injector, Obs);
-  return runSptGeneralized(M, FnName, Args, Loops, Machine, MaxSteps,
-                           RngSeed, Injector, Obs);
 }

@@ -45,7 +45,7 @@
 #include "interp/Interp.h"
 #include "obs/Obs.h"
 #include "sim/Machine.h"
-#include "sim/SimOptions.h"
+#include "sim/SimPerfCounters.h"
 
 #include <map>
 #include <string>
@@ -91,12 +91,12 @@ struct SptLoopRunStats {
   }
 };
 
-/// Per-speculative-core statistics from the generalized (N-core) engine.
-/// Core 0 is the first speculative chain slot (iteration i+1 after a
-/// fork in iteration i), core k speculates iteration i+k+1. Like Perf,
-/// this is telemetry, not architectural state: differential comparisons
-/// against the two-core reference engine exclude it (the reference
-/// engine leaves it empty).
+/// Per-speculative-core statistics of the chain. Core 0 is the first
+/// speculative chain slot (iteration i+1 after a fork in iteration i),
+/// core k speculates iteration i+k+1. Like Perf, this is telemetry, not
+/// architectural state: differential comparisons against the two-core
+/// reference engine (testing/ReferenceSptSim.h) exclude it, and the
+/// reference engine leaves it empty.
 struct SptCoreStats {
   uint64_t Forks = 0;    ///< Chain slots armed for this core.
   uint64_t Commits = 0;  ///< Slots committed in order at a join.
@@ -118,8 +118,7 @@ struct SptSimResult {
   /// the architectural report; differential comparisons exclude it.
   SimPerfCounters Perf;
 
-  /// Generalized-engine per-speculative-core telemetry (size Cores-1;
-  /// empty from the two-core reference engine). Excluded from
+  /// Per-speculative-core telemetry (size Cores-1). Excluded from
   /// differential comparisons, like Perf.
   std::vector<SptCoreStats> CoreStats;
 
@@ -142,8 +141,9 @@ class FaultInjector;
 /// \p Obs, when non-null, receives a "sim.runSpt" span and the run's
 /// speculation counters (squashes, violations, re-executed instructions),
 /// flushed once at the end of the run.
-/// \p Sim selects the SPT engine (sim/SimOptions.h); at Cores=2 both
-/// engines produce byte-identical results.
+/// Machine.Cores == 1 disables speculation; at Cores == 2 the result is
+/// byte-identical to the two-core reference engine's
+/// (testing/ReferenceSptSim.h).
 SptSimResult runSpt(const Module &M, const std::string &FnName,
                     const std::vector<Value> &Args,
                     const std::map<int64_t, SptLoopDesc> &Loops,
@@ -151,8 +151,7 @@ SptSimResult runSpt(const Module &M, const std::string &FnName,
                     uint64_t MaxSteps = 500000000ull,
                     uint64_t RngSeed = 0x5eed5eed5eedull,
                     FaultInjector *Injector = nullptr,
-                    ObsContext *Obs = nullptr,
-                    const SimOptions &Sim = SimOptions());
+                    ObsContext *Obs = nullptr);
 
 } // namespace spt
 

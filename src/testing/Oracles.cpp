@@ -31,6 +31,7 @@
 #include "testing/Mutator.h"
 #include "testing/ProfileDump.h"
 #include "testing/ReferenceProfiler.h"
+#include "testing/ReferenceSptSim.h"
 
 #include <algorithm>
 #include <cmath>
@@ -812,11 +813,11 @@ OracleResult oracleProfileDiff(const Prepared &P, const OracleOptions &Opts) {
   return R;
 }
 
-/// Differential guard on the generalized N-core SPT engine
-/// (sim/SimOptions.h). At Cores=2 the generalized engine must be
-/// byte-identical to the retained two-core reference engine in every
-/// report field — timing, instruction counts, architectural state and
-/// all per-loop speculation counters. At Cores=4 and Cores=8 the chain
+/// Differential guard on the N-core SPT engine behind runSpt. At Cores=2
+/// it must be byte-identical to the two-core reference engine
+/// (testing/ReferenceSptSim.h) in every report field — timing,
+/// instruction counts, architectural state and all per-loop speculation
+/// counters. At Cores=4 and Cores=8 the chain
 /// has no reference engine, but architectural state is a function of the
 /// main interpreter alone, so checksum, output and the memory image must
 /// still equal the sequential reference.
@@ -828,13 +829,16 @@ OracleResult oracleKwayDiff(const Prepared &P, const OracleOptions &Opts) {
     return R;
   }
   for (unsigned MI = 0; MI != 3; ++MI) {
-    auto run = [&](const MachineConfig &MC, const SimOptions &Sim) {
-      return runSpt(*P.Modes[MI].M, "main", {}, P.Modes[MI].Report.SptLoops,
-                    MC, Opts.MaxSteps, P.SimSeed, nullptr, Opts.Obs, Sim);
+    const Module &M = *P.Modes[MI].M;
+    const auto &Loops = P.Modes[MI].Report.SptLoops;
+    auto run = [&](const MachineConfig &MC) {
+      return runSpt(M, "main", {}, Loops, MC, Opts.MaxSteps, P.SimSeed,
+                    nullptr, Opts.Obs);
     };
-    const SptSimResult Gen = run(MachineConfig(), SimOptions());
-    const SptSimResult Ref =
-        run(MachineConfig(), SimOptions::twoCoreReference());
+    const SptSimResult Gen = run(MachineConfig());
+    const SptSimResult Ref = runSptTwoCore(M, "main", {}, Loops,
+                                           MachineConfig(), Opts.MaxSteps,
+                                           P.SimSeed, nullptr, Opts.Obs);
     if (Gen.Subticks != Ref.Subticks || Gen.Instrs != Ref.Instrs ||
         Gen.Result.I != Ref.Result.I || Gen.Output != Ref.Output ||
         Gen.MemoryHash != Ref.MemoryHash ||
@@ -848,7 +852,7 @@ OracleResult oracleKwayDiff(const Prepared &P, const OracleOptions &Opts) {
     for (uint32_t Cores : {4u, 8u}) {
       MachineConfig MC;
       MC.Cores = Cores;
-      const SptSimResult Wide = run(MC, SimOptions());
+      const SptSimResult Wide = run(MC);
       if (Wide.Result.I != P.SeqRef.Result.I ||
           Wide.Output != P.SeqRef.Output ||
           Wide.MemoryHash != P.SeqRef.MemoryHash) {

@@ -6,8 +6,9 @@
 //
 // Differential and property tests for the generalized N-core SPT engine.
 // The load-bearing contract: at Cores=2 the generalized engine is
-// byte-identical to the retained two-core reference engine (subticks,
-// instruction counts, architectural state, and every per-loop counter).
+// byte-identical to the two-core reference engine in
+// testing/ReferenceSptSim.h (subticks, instruction counts, architectural
+// state, and every per-loop counter).
 // Beyond two cores the tests pin architectural equality against the
 // sequential simulator, in-order commit accounting via SptCoreStats,
 // squash propagation under forced faults, and the absence of write-buffer
@@ -29,6 +30,7 @@
 #include "ir/Verifier.h"
 #include "lang/Frontend.h"
 #include "partition/Partition.h"
+#include "testing/ReferenceSptSim.h"
 #include "transform/SptTransform.h"
 
 #include <gtest/gtest.h>
@@ -144,11 +146,16 @@ MachineConfig machineWith(uint32_t Cores) {
 SptSimResult runCores(const Module &M,
                       const std::map<int64_t, SptLoopDesc> &Loops,
                       int64_t N, uint32_t Cores,
-                      const SimOptions &Sim = SimOptions(),
                       FaultInjector *FI = nullptr) {
   return runSpt(M, "f", {Value::ofInt(N)}, Loops, machineWith(Cores),
                 /*MaxSteps=*/500000000ull, /*RngSeed=*/0x5eed5eed5eedull,
-                FI, /*Obs=*/nullptr, Sim);
+                FI);
+}
+
+SptSimResult runReference(const Module &M,
+                          const std::map<int64_t, SptLoopDesc> &Loops,
+                          int64_t N) {
+  return runSptTwoCore(M, "f", {Value::ofInt(N)}, Loops);
 }
 
 uint64_t sumForks(const SptSimResult &R) {
@@ -174,10 +181,8 @@ uint64_t sumJoins(const SptSimResult &R) {
 TEST(KwaySimTest, TwoCoreByteIdentityIndependent) {
   auto Spt = compileOrDie(IndependentSrc);
   auto Loops = sptPrepare(*Spt);
-  const SptSimResult Gen =
-      runCores(*Spt, Loops, 2500, 2, SimOptions());
-  const SptSimResult Ref =
-      runCores(*Spt, Loops, 2500, 2, SimOptions::twoCoreReference());
+  const SptSimResult Gen = runCores(*Spt, Loops, 2500, 2);
+  const SptSimResult Ref = runReference(*Spt, Loops, 2500);
   expectIdentical(Gen, Ref);
   EXPECT_EQ(Gen.CoreStats.size(), 1u);
   EXPECT_TRUE(Ref.CoreStats.empty())
@@ -187,20 +192,16 @@ TEST(KwaySimTest, TwoCoreByteIdentityIndependent) {
 TEST(KwaySimTest, TwoCoreByteIdentityDependent) {
   auto Spt = compileOrDie(DependentSrc);
   auto Loops = sptPrepare(*Spt);
-  const SptSimResult Gen =
-      runCores(*Spt, Loops, 4000, 2, SimOptions());
-  const SptSimResult Ref =
-      runCores(*Spt, Loops, 4000, 2, SimOptions::twoCoreReference());
+  const SptSimResult Gen = runCores(*Spt, Loops, 4000, 2);
+  const SptSimResult Ref = runReference(*Spt, Loops, 4000);
   expectIdentical(Gen, Ref);
 }
 
 TEST(KwaySimTest, TwoCoreByteIdentityRng) {
   auto Spt = compileOrDie(RngSrc);
   auto Loops = sptPrepare(*Spt, /*PreForkFraction=*/0.6);
-  const SptSimResult Gen =
-      runCores(*Spt, Loops, 500, 2, SimOptions());
-  const SptSimResult Ref =
-      runCores(*Spt, Loops, 500, 2, SimOptions::twoCoreReference());
+  const SptSimResult Gen = runCores(*Spt, Loops, 500, 2);
+  const SptSimResult Ref = runReference(*Spt, Loops, 500);
   expectIdentical(Gen, Ref);
 }
 
@@ -258,8 +259,7 @@ TEST(KwaySimTest, ForcedSquashesCutTheChain) {
   FO.Seed = 0xfau;
   FO.ForcedSquashRate = 1.0;
   FaultInjector FI(FO);
-  const SptSimResult R =
-      runCores(*Spt, Loops, 1200, 4, SimOptions(), &FI);
+  const SptSimResult R = runCores(*Spt, Loops, 1200, 4, &FI);
   ASSERT_EQ(R.CoreStats.size(), 3u);
   uint64_t Commits = 0, Squashes = 0;
   for (const SptCoreStats &S : R.CoreStats) {
