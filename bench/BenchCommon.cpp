@@ -8,8 +8,10 @@
 
 #include "spt.h"
 
-
 #include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <sstream>
 
 using namespace spt;
 using namespace spt::bench;
@@ -141,4 +143,109 @@ double spt::bench::maxLoopCoverage(const WorkloadEval &E,
   const double Cov =
       static_cast<double>(Covered) / static_cast<double>(E.Seq.Subticks);
   return std::min(Cov, 1.0);
+}
+
+namespace {
+
+constexpr const char *JsonSpace = " \t\r\n";
+
+/// Index just past the JSON value starting at \p I: a string, an object
+/// or array with everything nested in it, or a bare scalar (whose end is
+/// the next ',', '}' or ']' outside any nesting). npos when the text ends
+/// first.
+size_t skipJsonValue(const std::string &S, size_t I) {
+  int Depth = 0;
+  bool InString = false;
+  for (; I < S.size(); ++I) {
+    const char C = S[I];
+    if (InString) {
+      if (C == '\\') {
+        ++I;
+      } else if (C == '"') {
+        InString = false;
+        if (Depth == 0)
+          return I + 1;
+      }
+      continue;
+    }
+    if (C == '"') {
+      InString = true;
+    } else if (C == '{' || C == '[') {
+      ++Depth;
+    } else if (C == '}' || C == ']') {
+      if (Depth == 0)
+        return I;
+      if (--Depth == 0)
+        return I + 1;
+    } else if (C == ',' && Depth == 0) {
+      return I;
+    }
+  }
+  return std::string::npos;
+}
+
+/// Sets member \p Key of the JSON object in \p Text (see mergeJsonBlock).
+bool setTopLevelMember(std::string &Text, const std::string &Key,
+                       const std::string &Value) {
+  const size_t npos = std::string::npos;
+  const std::string Member = "\"" + Key + "\": " + Value;
+  size_t I = Text.find_first_not_of(JsonSpace);
+  if (I == npos) {
+    Text = "{\n  " + Member + "\n}\n";
+    return true;
+  }
+  if (Text[I] != '{')
+    return false;
+  size_t LastEnd = npos; // End of the last member's value.
+  for (++I;; I = LastEnd) {
+    I = Text.find_first_not_of(JsonSpace, I);
+    if (I != npos && LastEnd != npos && Text[I] == ',')
+      I = Text.find_first_not_of(JsonSpace, I + 1);
+    if (I == npos)
+      return false;
+    if (Text[I] == '}')
+      break;
+    if (Text[I] != '"')
+      return false;
+    const size_t NameEnd = skipJsonValue(Text, I);
+    const size_t Colon = Text.find_first_not_of(JsonSpace, NameEnd);
+    if (Colon == npos || Text[Colon] != ':')
+      return false;
+    const size_t Begin = Text.find_first_not_of(JsonSpace, Colon + 1);
+    size_t End = skipJsonValue(Text, Begin);
+    if (End == npos)
+      return false;
+    while (End > Begin && std::strchr(JsonSpace, Text[End - 1]) &&
+           Text[End - 1] != '\0')
+      --End;
+    if (Text.compare(I + 1, NameEnd - I - 2, Key) == 0) {
+      Text.replace(Begin, End - Begin, Value);
+      return true;
+    }
+    LastEnd = End;
+  }
+  if (LastEnd == npos)
+    Text.insert(I, "\n  " + Member + "\n"); // Empty object.
+  else
+    Text.insert(LastEnd, ",\n  " + Member);
+  return true;
+}
+
+} // namespace
+
+bool spt::bench::mergeJsonBlock(const std::string &Path,
+                                const std::string &Key,
+                                const std::string &Value) {
+  std::string Text;
+  {
+    std::ifstream In(Path, std::ios::binary);
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    Text = SS.str();
+  }
+  if (!setTopLevelMember(Text, Key, Value))
+    return false;
+  std::ofstream Out(Path, std::ios::binary);
+  Out << Text;
+  return static_cast<bool>(Out);
 }

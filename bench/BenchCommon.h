@@ -9,6 +9,8 @@
 /// binaries: compile each workload with the requested SPT compilation
 /// modes, simulate the sequential baseline and the SPT executions, verify
 /// checksums match, and hand the results to the figure-specific printers.
+/// Also the JSON merge the perf_* harnesses use to add their block to
+/// BENCH_compile.json.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,6 +85,15 @@ double selectedLoopCoverage(const WorkloadEval &E, CompilationMode Mode);
 /// hardware size limit (the paper's "maximum coverage" reference line),
 /// counted over maximal non-overlapping eligible loops.
 double maxLoopCoverage(const WorkloadEval &E, double MaxBodyWeight);
+
+/// Sets the top-level member \p Key of the JSON object stored at \p Path
+/// to \p Value (JSON text, written verbatim): replaces that member's value
+/// if present, otherwise appends the member; every other member is kept
+/// byte for byte. A missing or empty file becomes a one-member object.
+/// Returns false, leaving the file untouched, when its text is not a JSON
+/// object, and false when the write fails.
+bool mergeJsonBlock(const std::string &Path, const std::string &Key,
+                    const std::string &Value);
 
 } // namespace bench
 } // namespace spt

@@ -32,8 +32,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 using namespace spt;
 using namespace spt::bench;
@@ -94,37 +92,6 @@ SweepRow sweepWorkload(const Workload &W) {
   }
   Row.Monotone24 = Row.Speedup[2] >= Row.Speedup[1] - 1e-9;
   return Row;
-}
-
-/// Merges the ", \"kway\": {...}\n" block into the JSON object at
-/// \p Path, replacing any previous "kway" block; writes a fresh object
-/// when the file is missing.
-void mergeIntoJson(const std::string &Path, const std::string &Block) {
-  std::string Existing;
-  {
-    std::ifstream In(Path);
-    std::stringstream SS;
-    SS << In.rdbuf();
-    Existing = SS.str();
-  }
-  const std::string Marker = ",\n  \"kway\":";
-  std::string Out;
-  const size_t Close = Existing.rfind('}');
-  if (Close == std::string::npos) {
-    Out = "{";
-    Out.append(Block, 1, Block.size() - 1);
-    Out += "}\n";
-  } else {
-    const size_t Prev = Existing.find(Marker);
-    std::string Prefix =
-        Existing.substr(0, Prev != std::string::npos ? Prev : Close);
-    while (!Prefix.empty() &&
-           (Prefix.back() == '\n' || Prefix.back() == ' '))
-      Prefix.pop_back();
-    Out = Prefix + Block + "}\n";
-  }
-  std::ofstream O(Path);
-  O << Out;
 }
 
 } // namespace
@@ -189,7 +156,7 @@ int main(int Argc, char **Argv) {
             "machine bit-for-bit; wider chains help exactly the workloads\n"
             "whose partitions carry little misspeculation cost.\n";
 
-  std::string Block = ",\n  \"kway\": {\n    \"rows\": [\n";
+  std::string Block = "{\n    \"rows\": [\n";
   for (size_t I = 0; I != Rows.size(); ++I) {
     const SweepRow &R = Rows[I];
     Block += "      {\"name\": \"" + R.Name + "\", \"cores\": [";
@@ -212,9 +179,12 @@ int main(int Argc, char **Argv) {
            (AllIdentical ? "true" : "false");
   Block += std::string(", \"any_speedup_monotone_2_to_4\": ") +
            (AnyMonotone ? "true" : "false");
-  Block += "\n  }\n";
+  Block += "\n  }";
 
-  mergeIntoJson(OutPath, Block);
+  if (!bench::mergeJsonBlock(OutPath, "kway", Block)) {
+    errs() << "cannot merge the \"kway\" block into " << OutPath << "\n";
+    return 1;
+  }
   outs() << "merged \"kway\" block into " << OutPath << "\n";
 
   if (!AllIdentical)

@@ -27,12 +27,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/BenchCommon.h"
+
 #include "spt.h"
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -221,35 +221,6 @@ RowResult runKernel(const Kernel &K, bool Quick, int Repeat) {
   return Row;
 }
 
-/// Merges \p Block (", \"interpreter\": {...}\n") into the JSON object at
-/// \p Path, replacing any previous "interpreter" block; writes a fresh
-/// object when the file is missing.
-void mergeIntoJson(const std::string &Path, const std::string &Block) {
-  std::string Existing;
-  {
-    std::ifstream In(Path);
-    std::stringstream SS;
-    SS << In.rdbuf();
-    Existing = SS.str();
-  }
-  const std::string Marker = ",\n  \"interpreter\":";
-  std::string Out;
-  const size_t Close = Existing.rfind('}');
-  if (Close == std::string::npos) {
-    Out = "{" + Block.substr(1) + "}\n";
-  } else {
-    const size_t Prev = Existing.find(Marker);
-    std::string Prefix =
-        Existing.substr(0, Prev != std::string::npos ? Prev : Close);
-    while (!Prefix.empty() &&
-           (Prefix.back() == '\n' || Prefix.back() == ' '))
-      Prefix.pop_back();
-    Out = Prefix + Block + "}\n";
-  }
-  std::ofstream O(Path);
-  O << Out;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -321,7 +292,7 @@ int main(int Argc, char **Argv) {
     errs() << "FAIL: decoded engine only " << fmt2(Speedup)
            << "x the reference engine (gate: >= 2x)\n";
 
-  std::string Block = ",\n  \"interpreter\": {\n    \"rows\": [\n";
+  std::string Block = "{\n    \"rows\": [\n";
   for (size_t I = 0; I != Rows.size(); ++I) {
     const RowResult &R = Rows[I];
     Block += "      {\"name\": \"" + R.Name + "\"";
@@ -350,9 +321,12 @@ int main(int Argc, char **Argv) {
            (AllIdentical ? "true" : "false");
   Block += std::string(", \"meets_2x_gate\": ") +
            (FastEnough ? "true" : "false");
-  Block += "}\n  }\n";
+  Block += "}\n  }";
 
-  mergeIntoJson(OutPath, Block);
+  if (!bench::mergeJsonBlock(OutPath, "interpreter", Block)) {
+    errs() << "cannot merge the \"interpreter\" block into " << OutPath << "\n";
+    return 1;
+  }
   outs() << "merged \"interpreter\" block into " << OutPath << "\n";
 
   return AllIdentical && FastEnough ? 0 : 1;
