@@ -9,11 +9,12 @@
 # sanitizer run never dirties the ordinary build tree. Per preset the
 # gate is: the tier1-labelled test suite (ctest -L tier1, which includes
 # the fuzzing self-check), then a 200-program differential fuzzing smoke
-# through the full oracle set (see docs/testing.md). Finally the release
+# through the full oracle set (see docs/testing.md). Then the release
 # preset is built into build-release/, so a warning that only -O3 raises
 # cannot break the benchmark build unnoticed, and its simulator and
 # profiler golden digests are checked: the executors inline their step
 # sinks into the interpreter, and -O3 is the build most likely to diverge.
+# Last, perfbench's standalone project is built into build-perfbench/.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -68,11 +69,12 @@ for preset in "${PRESETS[@]}"; do
   "./$builddir/tests/interp_decode_test"
   "./$builddir/bench/perf_interp" --quick \
     --out="$builddir/BENCH_interp_quick.json"
-  # K-way differential smoke: the generalized N-core engine against the
-  # retained two-core reference (byte-identity at Cores=2, architectural
-  # equality and in-order commit accounting at 4 and 8 cores), then a
-  # quick cores=1,2,4,8 sweep whose exit code gates both the byte-identity
-  # and the 2->4 scaling claim (see docs/simulation.md).
+  # K-way differential smoke: the N-core engine against the two-core
+  # reference engine kept as a test oracle in src/testing (byte-identity
+  # at Cores=2, architectural equality and in-order commit accounting at
+  # 4 and 8 cores), then a quick cores=1,2,4,8 sweep whose exit code
+  # gates both the byte-identity and the 2->4 scaling claim (see
+  # docs/simulation.md).
   echo "== [$preset] k-way differential smoke"
   "./$builddir/tests/kway_sim_test"
   "./$builddir/bench/fig14_kway" --quick \
@@ -81,9 +83,9 @@ done
 
 # Smoke-run the compile-time benchmark (small stress graphs, one repeat)
 # from the default build: it fails when the three pass-1 configurations
-# or the stress searches stop being bit-identical, which the full test
-# suite cannot see at benchmark scale. Full measurements come from
-# scripts/bench.sh.
+# (baseline, seq, obs) or the stress searches stop being bit-identical,
+# which the full test suite cannot see at benchmark scale. Full
+# measurements come from scripts/bench.sh.
 if [[ " ${PRESETS[*]} " == *" default "* ]]; then
   echo "== [default] perf_compile --quick"
   ./build/bench/perf_compile --quick --out=build/BENCH_compile_quick.json
@@ -114,5 +116,14 @@ if [[ " ${PRESETS[*]} " != *" release "* ]]; then
   ./build-release/tests/sim_golden_test
   ./build-release/tests/profile_golden_test
 fi
+
+# The end-to-end benchmark is a standalone CMake project that builds
+# ../src with its own flags, targets and link line
+# (perfbench/CMakeLists.txt), so a source-list or library change that
+# breaks it would otherwise show up only when the benchmark runs. Build
+# only; perfbench/run.py times it.
+echo "== [perfbench] configure + build"
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j "$JOBS" --target perfbench
 
 echo "== all presets passed: ${PRESETS[*]}"

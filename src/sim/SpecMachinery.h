@@ -1,4 +1,4 @@
-//===- sim/SpecMachinery.h - Speculation state shared by SPT engines -----===//
+//===- sim/SpecMachinery.h - Speculation state shared by SPT engines ------===//
 //
 // Part of the SPT framework (PLDI 2004 reproduction). MIT license.
 //
@@ -13,10 +13,10 @@
 /// reference engine in testing/ReferenceSptSim.cpp include it, as the
 /// executors include interp/DecodeEngine.h. spt.h does not include it.
 ///
-/// Everything here has internal linkage, so each engine gets its own copy,
-/// as when this code was local to SptSim.cpp. The compiler can then treat
-/// the helpers as local: with vague linkage, GCC -O3 laid out the chain
-/// ghost's handler loop differently (0.5% more instructions, same calls).
+/// Everything here has internal linkage: each engine compiles its own
+/// copy, so the compiler may treat the helpers as local to the engine.
+/// With vague linkage, GCC -O3 emitted the chain ghost's handler loop
+/// with 0.5% more instructions (the same calls, laid out differently).
 ///
 //===----------------------------------------------------------------------===//
 

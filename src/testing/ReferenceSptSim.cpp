@@ -1,4 +1,4 @@
-//===- testing/ReferenceSptSim.cpp - Two-core reference SPT engine ---------===//
+//===- testing/ReferenceSptSim.cpp - Two-core reference SPT engine --------===//
 //
 // Part of the SPT framework (PLDI 2004 reproduction). MIT license.
 //

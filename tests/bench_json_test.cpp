@@ -45,9 +45,10 @@ std::string readFile(const std::string &Path) {
 
 TEST(BenchJsonTest, ReplacingTheMiddleBlockKeepsTheLast) {
   const std::string Path = tempPath("middle.json");
-  writeFile(Path, "{\n  \"workloads\": [{\"name\": \"a\"}, {\"name\": \"b\"}],\n"
-                  "  \"kway\": {\"rows\": [1, 2], \"note\": \"} ]\"},\n"
-                  "  \"oracle\": {\"summary\": {\"ok\": true}}\n}\n");
+  writeFile(Path,
+            "{\n  \"workloads\": [{\"name\": \"a\"}, {\"name\": \"b\"}],\n"
+            "  \"kway\": {\"rows\": [1, 2], \"note\": \"} ]\"},\n"
+            "  \"oracle\": {\"summary\": {\"ok\": true}}\n}\n");
   ASSERT_TRUE(bench::mergeJsonBlock(Path, "kway", "{\"rows\": [3]}"));
   EXPECT_EQ(readFile(Path),
             "{\n  \"workloads\": [{\"name\": \"a\"}, {\"name\": \"b\"}],\n"

@@ -310,11 +310,10 @@ TEST(TraceValidatorTest, RejectsSchemaViolations) {
       Err)); // Missing name.
 }
 
-// --- Options regroup: copies, builder -----------------------------------===//
+// --- Options: copies, builder -------------------------------------------===//
 
-// The deprecated flat reference aliases are gone; SptCompilerOptions is a
-// plain aggregate again, so copying and assignment must be value-semantic
-// with no storage shared between instances.
+// SptCompilerOptions is a plain aggregate, so copying and assignment must
+// be value-semantic with no storage shared between instances.
 TEST(OptionsTest, CopyIsValueSemantic) {
   SptCompilerOptions A;
   A.Selection.CostFraction = 0.25;
