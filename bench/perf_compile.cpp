@@ -237,8 +237,8 @@ int main(int Argc, char **Argv) {
   outs() << "==============================================================\n";
   outs() << " perf_compile: pass-1 + partition-search wall time\n";
   outs() << " baseline = reference evaluation (pre-optimization paths)\n";
-  outs() << " repeat = " << Repeat << ", stress = " << StressFiller << " pinned + " << StressK
-         << " movable copies\n";
+  outs() << " repeat = " << Repeat << ", stress = " << StressFiller
+         << " pinned + " << StressK << " movable copies\n";
   outs() << "==============================================================\n";
 
   std::vector<Workload> Suite = allWorkloads();

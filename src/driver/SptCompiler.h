@@ -351,9 +351,9 @@ struct CompilationReport {
   double PassOneSeconds = 0.0;
   /// Counter/histogram/span-count snapshot of the observability layer;
   /// empty unless Observability.Enabled. Deterministic for a given seed
-  /// and module, but deliberately excluded from
-  /// renderReportDeterministic so enabling tracing cannot perturb report
-  /// comparisons. Render with renderStatsText/renderStatsJson.
+  /// and module, but deliberately excluded from renderReportDeterministic
+  /// so enabling tracing cannot perturb report comparisons. Render with
+  /// renderStatsText/renderStatsJson.
   StatsSnapshot Stats;
 
   size_t numSelected() const {

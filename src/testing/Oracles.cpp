@@ -817,10 +817,10 @@ OracleResult oracleProfileDiff(const Prepared &P, const OracleOptions &Opts) {
 /// it must be byte-identical to the two-core reference engine
 /// (testing/ReferenceSptSim.h) in every report field — timing,
 /// instruction counts, architectural state and all per-loop speculation
-/// counters. At Cores=4 and Cores=8 the chain
-/// has no reference engine, but architectural state is a function of the
-/// main interpreter alone, so checksum, output and the memory image must
-/// still equal the sequential reference.
+/// counters. At Cores=4 and Cores=8 the chain has no reference engine, but
+/// architectural state is a function of the main interpreter alone, so
+/// checksum, output and the memory image must still equal the sequential
+/// reference.
 OracleResult oracleKwayDiff(const Prepared &P, const OracleOptions &Opts) {
   OracleResult R{"kway-diff", OracleStatus::Pass, ""};
   if (!P.HaveSeqRef) {
