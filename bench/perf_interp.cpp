@@ -4,20 +4,21 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Times the interpreter's two engines against each other:
+// Times the interpreter's decoded engine against its single-step
+// reference:
 //
-//   ref      the tree-walking switch engine (InterpDispatch::Reference),
-//            one StepResult built and returned per instruction,
+//   ref      a loop of Interpreter::step(), the tree-walking switch that
+//            builds and returns one StepResult per instruction,
 //   decoded  the pre-decoded flat stream with threaded dispatch and
-//            superinstruction fusion (InterpDispatch::Decoded), run
-//            record-free through run().
+//            superinstruction fusion, run record-free through run().
 //
 // Nodes are retired IR instructions. Every kernel is also executed once
-// through both engines with full record streams and compared — chained
-// hashStepResult over every record, plus output, return value and
-// memoryHash — and the aggregate decoded throughput must be at least 2x
-// the reference engine's, or the binary fails loudly: a perf regression
-// in the hot loop is a build failure, not a trend-line footnote.
+// both ways with full record streams and compared — chained
+// hashStepResult over every record (the decoded side through runBatch,
+// testing/StepSink.h), plus output, return value and memoryHash — and the
+// aggregate decoded throughput must be at least 2x the step() loop's, or
+// the binary fails loudly: a perf regression in the hot loop is a build
+// failure, not a trend-line footnote.
 //
 // The "interpreter" block is merged into the perf_compile JSON (default
 // BENCH_compile.json) for the bench trajectory.
@@ -30,6 +31,7 @@
 #include "bench/BenchCommon.h"
 
 #include "spt.h"
+#include "testing/StepSink.h"
 
 #include <chrono>
 #include <cstdio>
@@ -144,7 +146,7 @@ template <typename FnT> double timeBest(int Repeat, FnT Fn) {
   return Best;
 }
 
-/// One engine's observable run: chained record hash + architectural tail.
+/// One run's observables: chained record hash + architectural tail.
 struct Observed {
   uint64_t StreamHash = 0xcbf29ce484222325ull;
   uint64_t Records = 0;
@@ -154,14 +156,14 @@ struct Observed {
   uint64_t MemHash = 0;
 };
 
+/// Runs \p F through the decoded engine, or through a step() loop when
+/// \p Stepped.
 Observed observeRun(const Module &M, const Function *F,
-                    const std::vector<Value> &Args, InterpDispatch D) {
+                    const std::vector<Value> &Args, bool Stepped) {
   Observed O;
-  InterpOptions IO;
-  IO.Dispatch = D;
-  Interpreter In(M, IO);
+  Interpreter In(M);
   In.startCall(F, Args);
-  if (D == InterpDispatch::Reference) {
+  if (Stepped) {
     while (!In.done()) {
       O.StreamHash = hashStepResult(O.StreamHash, In.step());
       ++O.Records;
@@ -172,7 +174,7 @@ Observed observeRun(const Module &M, const Function *F,
       ++O.Records;
       return true;
     });
-    In.runBatch(Sink);
+    runBatch(In, Sink);
   }
   O.Done = In.done();
   O.Ret = In.returnValue().I;
@@ -190,29 +192,27 @@ RowResult runKernel(const Kernel &K, bool Quick, int Repeat) {
 
   Row.FusedOps = M->decodeCache().imageFor(F)->NumFused;
 
-  // Record-free timing: run() builds no StepResults in decoded mode; the
-  // reference engine always materializes one per step, which is exactly
-  // the per-step cost the decode pass exists to delete.
+  // Record-free timing: run() builds no StepResults; step() always
+  // materializes one per instruction, which is exactly the per-step cost
+  // the decode pass exists to delete.
   uint64_t NodesRef = 0, NodesDec = 0;
   Row.SecRef = timeBest(Repeat, [&] {
-    InterpOptions IO;
-    IO.Dispatch = InterpDispatch::Reference;
-    Interpreter In(*M, IO);
+    Interpreter In(*M);
     In.startCall(F, Args);
-    NodesRef = In.run();
+    NodesRef = 0;
+    for (; !In.done(); ++NodesRef)
+      In.step();
   });
   Row.SecDec = timeBest(Repeat, [&] {
-    InterpOptions IO;
-    IO.Dispatch = InterpDispatch::Decoded;
-    Interpreter In(*M, IO);
+    Interpreter In(*M);
     In.startCall(F, Args);
     NodesDec = In.run();
   });
   Row.Nodes = NodesDec;
 
   // Full observational differential, once, with record streams on.
-  const Observed Ref = observeRun(*M, F, Args, InterpDispatch::Reference);
-  const Observed Dec = observeRun(*M, F, Args, InterpDispatch::Decoded);
+  const Observed Ref = observeRun(*M, F, Args, /*Stepped=*/true);
+  const Observed Dec = observeRun(*M, F, Args, /*Stepped=*/false);
   Row.ReportsIdentical =
       NodesRef == NodesDec && Ref.StreamHash == Dec.StreamHash &&
       Ref.Records == Dec.Records && Ref.Done && Dec.Done &&
@@ -246,7 +246,7 @@ int main(int Argc, char **Argv) {
 
   outs() << "==============================================================\n";
   outs() << " perf_interp: interpreter throughput (nodes = retired instrs)\n";
-  outs() << " ref = tree-walking switch engine; decoded = pre-decoded\n";
+  outs() << " ref = step() loop (tree-walking switch); decoded = pre-decoded\n";
   outs() << " stream, threaded dispatch + fusion; repeat = " << Repeat
          << "\n";
   outs() << "==============================================================\n";
@@ -286,11 +286,11 @@ int main(int Argc, char **Argv) {
          << (AllIdentical ? "byte-identical" : "DIVERGED") << "\n";
 
   // The gate: byte-identity is non-negotiable, and the decode pass must
-  // still pay its rent — at least 2x the reference engine in aggregate.
+  // still pay its rent — at least 2x the step() loop in aggregate.
   const bool FastEnough = Speedup >= 2.0;
   if (!FastEnough)
     errs() << "FAIL: decoded engine only " << fmt2(Speedup)
-           << "x the reference engine (gate: >= 2x)\n";
+           << "x the step() loop (gate: >= 2x)\n";
 
   std::string Block = "{\n    \"rows\": [\n";
   for (size_t I = 0; I != Rows.size(); ++I) {

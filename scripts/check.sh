@@ -11,9 +11,10 @@
 # the fuzzing self-check), then a 200-program differential fuzzing smoke
 # through the full oracle set (see docs/testing.md). Then the release
 # preset is built into build-release/, so a warning that only -O3 raises
-# cannot break the benchmark build unnoticed, and its simulator and
-# profiler golden digests are checked: the executors inline their step
-# sinks into the interpreter, and -O3 is the build most likely to diverge.
+# cannot break the benchmark build unnoticed, and its golden digests and
+# planner equivalence tests are checked there: the executors inline their
+# step sinks into the interpreter, perfbench times the cost model and
+# search at -O3, and -O3 is the build most likely to diverge.
 # Last, perfbench's standalone project is built into build-perfbench/.
 
 set -euo pipefail
@@ -60,10 +61,11 @@ for preset in "${PRESETS[@]}"; do
   "./$builddir/tools/sptserve" --batch --corpus tests/corpus \
     --programs 50 --jobs 4 --chaos 0.3 --seed 1 --verify
   # Interpreter decode differential smoke: the lockstep record-stream
-  # walk between the decoded (threaded, fused) engine and the reference
-  # switch engine, plus perf_interp --quick, which exits nonzero when
-  # either the record streams diverge or the decoded engine drops under
-  # the 2x aggregate throughput gate. Under sanitizers this doubles as a
+  # walk between the decoded (threaded, fused) engine and its reference,
+  # a loop of Interpreter::step() (the tree-walking switch), plus
+  # perf_interp --quick, which exits nonzero when either the record
+  # streams diverge or the decoded engine drops under the 2x aggregate
+  # throughput gate against the step() loop. Under sanitizers this doubles as a
   # memory-safety pass over the computed-goto dispatch loop.
   echo "== [$preset] interp decode differential smoke"
   "./$builddir/tests/interp_decode_test"
@@ -82,10 +84,11 @@ for preset in "${PRESETS[@]}"; do
 done
 
 # Smoke-run the compile-time benchmark (small stress graphs, one repeat)
-# from the default build: it fails when the three pass-1 configurations
-# (baseline, seq, obs) or the stress searches stop being bit-identical,
-# which the full test suite cannot see at benchmark scale. Full
-# measurements come from scripts/bench.sh.
+# from the default build: it fails when the seq and obs pass-1
+# configurations stop rendering byte-identical reports, or when the
+# stress sweep's searches stop being bit-identical to the reference
+# search in src/testing, which the full test suite cannot see at
+# benchmark scale. Full measurements come from scripts/bench.sh.
 if [[ " ${PRESETS[*]} " == *" default "* ]]; then
   echo "== [default] perf_compile --quick"
   ./build/bench/perf_compile --quick --out=build/BENCH_compile_quick.json
@@ -107,14 +110,21 @@ fi
 # Release (-O3) build guard: the tree builds with -Werror, and GCC raises
 # some warnings (e.g. a -Wrestrict false positive) only at -O3, which no
 # tested preset uses. The golden digests pin every simulator and profiler
-# result, so they also catch an -O3-only divergence of the inlined sinks.
+# result and the reports of 200 generated programs, so they also catch an
+# -O3-only divergence of the inlined sinks or the planner; the cost-model
+# and partition tests hold the shipped planner bit-identical to its
+# references in src/testing at the optimization level perfbench times.
 if [[ " ${PRESETS[*]} " != *" release "* ]]; then
   echo "== [release] configure + build"
   cmake --preset release
   cmake --build --preset release -j "$JOBS"
-  echo "== [release] simulator and profiler golden digests"
+  echo "== [release] golden digests and planner equivalence"
   ./build-release/tests/sim_golden_test
   ./build-release/tests/profile_golden_test
+  ./build-release/tests/report_golden_test
+  ./build-release/tests/cost_incremental_test
+  ./build-release/tests/partition_test
+  ./build-release/tests/partition_kway_test
 fi
 
 # The end-to-end benchmark is a standalone CMake project that builds

@@ -30,21 +30,17 @@
 /// is the operation's weight times its per-iteration execution frequency;
 /// pseudo nodes are excluded, exactly as in the paper.
 ///
-/// Two evaluation paths exist:
-///
-///  - The *reference* path (cost(), reexecProbabilities()): allocates fresh
-///    buffers and recomputes everything per call. It is the retained naive
-///    implementation the differential tests and perf_compile's pre-PR
-///    baseline measure against, and stays the convenient API for one-shot
-///    callers.
-///  - The *scratch* path (initScratch()/costWithToggled()/commitToggle()/
-///    undoToggle()): allocation-free on the hot path. A Scratch caches the
-///    committed partition's full propagation solution; toggling a group of
-///    violation candidates into the pre-fork region re-propagates only the
-///    cone of statements reachable from the toggled candidates' seed
-///    targets. Both paths perform floating-point operations in the same
-///    order on the same operands, so their results are bit-identical —
-///    a property tests/cost_incremental_test.cpp enforces.
+/// Evaluation has one implementation, the scratch path: a Scratch holds
+/// the committed partition's full propagation solution, and committing a
+/// group of violation candidates into (or out of) the pre-fork region
+/// re-propagates only the cone of statements reachable from their seed
+/// targets, with an undo trail for backtracking. Nothing on that path
+/// allocates after initScratch(). The one-shot calls (cost(),
+/// reexecProbabilities(), emptyPartitionCost()) seed a fresh Scratch.
+/// Every route to a partition folds the same operands in the same order,
+/// so incremental and fresh results are bit-identical; the retained
+/// pre-optimization model in testing/ReferencePlanner.h checks that, in
+/// tests/cost_incremental_test.cpp and the cost-diff fuzz oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,17 +61,12 @@ using PartitionSet = std::vector<uint8_t>;
 /// The reusable (per-loop) cost-graph; evaluate per candidate partition.
 class MisspecCostModel {
 public:
-  /// \p ReferenceConstruction selects the pre-optimization construction
-  /// path (O(E*V) Kahn edge rescans, O(V^2) deterministic queue) retained
-  /// for the perf_compile baseline. Both constructions produce identical
-  /// graphs and identical topological orders.
-  explicit MisspecCostModel(const LoopDepGraph &G,
-                            bool ReferenceConstruction = false);
+  explicit MisspecCostModel(const LoopDepGraph &G);
 
   const LoopDepGraph &depGraph() const { return *G; }
 
   /// Misspeculation cost of \p InPreFork (size must equal G->size()).
-  /// Reference path: allocates and recomputes from scratch per call.
+  /// One-shot: seeds and discards a Scratch per call.
   double cost(const PartitionSet &InPreFork) const;
 
   /// Per-statement re-execution probabilities for \p InPreFork. Entries
@@ -91,7 +82,7 @@ public:
   const std::vector<uint8_t> &reachable() const { return Reach; }
 
   /// Quasi-topological processing order over the cost graph (for the
-  /// min-heap Kahn regression tests).
+  /// construction regression tests).
   const std::vector<uint32_t> &topoOrder() const { return Order; }
 
   /// Cost of the trivial partition (empty pre-fork region).
@@ -114,8 +105,8 @@ public:
     std::vector<uint8_t> InPre; ///< Committed partition (stmt-indexed).
     double Cost = 0.0;          ///< Cost of the committed partition.
     /// CostPrefix[K]: the cost sum after folding the first K ReachList
-    /// terms — exactly the running partials a cold left-to-right
-    /// sumCost() produces, so a commit whose cone starts at ReachList
+    /// terms — exactly the running partials of a cold left-to-right sum,
+    /// so a commit whose cone starts at ReachList
     /// position P can resume the sum from CostPrefix[P] and stay
     /// bit-identical while re-adding only the tail.
     std::vector<double> CostPrefix;
@@ -124,12 +115,6 @@ public:
     /// re-summing; refreshCost() settles the tail once before a read.
     /// Cost == CostPrefix.back() whenever the watermark is full.
     uint32_t PrefixValidTo = 0;
-
-    // Query buffers: costWithToggled() writes tentative values here.
-    std::vector<double> TmpV, TmpBase;
-    std::vector<uint8_t> InCone;  ///< Stmt had its V recomputed this query.
-    std::vector<uint8_t> InBase;  ///< Stmt had its Base recomputed.
-    std::vector<uint8_t> InGroup; ///< Stmt is a toggled candidate.
 
     // Undo trail: one frame per commit entry point.
     struct Saved {
@@ -165,13 +150,11 @@ public:
     /// Evaluation counters, maintained unconditionally: the Scratch is
     /// caller-owned and single-threaded, so plain increments cost nothing
     /// measurable next to the propagation work they count. PartitionSearch
-    /// flushes them into the observability registry once per search (see
-    /// docs/observability.md for the counter catalogue).
+    /// flushes them into the observability registry, and zeroes them, once
+    /// per search (see docs/observability.md for the counter catalogue).
     struct EvalStats {
       uint64_t Inits = 0;       ///< initScratch full propagations.
       uint64_t Reuses = 0;      ///< initScratch calls reusing a warm scratch.
-      uint64_t ConeEvals = 0;   ///< costWithToggled via the cone path.
-      uint64_t FullEvals = 0;   ///< costWithToggled via cyclic full fixpoint.
       uint64_t ConeCommits = 0; ///< Committed deltas via the cone path.
       uint64_t FullCommits = 0; ///< Committed deltas via full re-propagation.
       uint64_t Undos = 0;       ///< undoToggle calls.
@@ -202,17 +185,6 @@ public:
   /// where every toggle falls back to a full re-propagation).
   TogglePlan planToggle(std::vector<uint32_t> Vcs) const;
 
-  /// Cost of the committed partition with the plan's candidates
-  /// additionally placed in the pre-fork region. Does not change the
-  /// committed state. The candidates must not already be committed.
-  double costWithToggled(Scratch &S, const TogglePlan &Plan) const;
-
-  /// Convenience overload: verifies \p BasePartition matches the committed
-  /// scratch state (re-seeding the scratch when it does not) and evaluates
-  /// \p VcGroup through an on-the-fly plan.
-  double costWithToggled(Scratch &S, const PartitionSet &BasePartition,
-                         const std::vector<uint32_t> &VcGroup) const;
-
   /// Commits the plan's candidates into the scratch's partition, updating
   /// V/Base/Cost incrementally and pushing an undo frame.
   void commitToggle(Scratch &S, const TogglePlan &Plan) const;
@@ -222,17 +194,13 @@ public:
   /// cone update and undo frame. A toggle's footprint is symmetric —
   /// exactly the statements in the plan's cone can differ between the two
   /// partitions — so removal re-propagates the same cone and stays
-  /// bit-identical to a fresh evaluation. The partition search uses this
-  /// to slide a second scratch across the movable suffix, turning every
+  /// bit-identical to a fresh evaluation. The cost re-sum is deferred:
+  /// the committed V/Base update happens now while CostPrefix keeps its
+  /// stale tail and only the validity watermark drops, so several
+  /// removals between cost reads settle with one refreshCost(). Until that
+  /// refresh, S.Cost is meaningless. The partition search uses this to
+  /// slide a second scratch across the movable suffix, turning every
   /// lower-bound probe into a cached read (see PartitionSearch).
-  void commitUntoggle(Scratch &S, const TogglePlan &Plan) const;
-
-  /// commitUntoggle() with the cost re-sum deferred: the committed
-  /// V/Base update happens now while CostPrefix keeps its stale tail and
-  /// only the validity watermark drops. Use when several commits land
-  /// between cost reads — refreshCost() then settles the sum once, from
-  /// the lowest invalidated position, instead of once per commit. Until
-  /// that refresh, S.Cost is meaningless.
   void commitUntoggleDeferred(Scratch &S, const TogglePlan &Plan) const;
 
   /// Settles CostPrefix/Cost after deferred commits with one tail re-sum
@@ -240,7 +208,7 @@ public:
   /// performs — and returns the committed partition's cost.
   double refreshCost(Scratch &S) const;
 
-  /// Reverts the most recent commit (toggle, untoggle, or deferred),
+  /// Reverts the most recent commit (toggle or deferred untoggle),
   /// including any cost refresh that happened on top of it.
   void undoToggle(Scratch &S) const;
 
@@ -255,30 +223,24 @@ private:
     uint32_t Dst;
     double Prob;
   };
-  /// One incoming propagation edge, packed for the scratch path's cone
-  /// loops: per-destination contiguous, in the exact per-destination
-  /// order of InOf so the product folds identically.
+  /// One incoming propagation edge, packed for the propagation loops:
+  /// per-destination contiguous, in edge order, so every propagation
+  /// folds a statement's product identically.
   struct InEdge {
     uint32_t Src;
     double Prob;
   };
 
-  void propagate(std::vector<double> &V, const PartitionSet &InPreFork) const;
   /// Allocation-free full propagation into caller-sized buffers; a
-  /// statement counts as pre-fork when InPre[s] or (ExtraGroup &&
-  /// ExtraGroup[s]). Performs the identical operation sequence as
-  /// propagate().
+  /// statement counts as pre-fork when InPre[s].
   void propagateFull(std::vector<double> &V, std::vector<double> &Base,
-                     const uint8_t *InPre, const uint8_t *ExtraGroup) const;
+                     const uint8_t *InPre) const;
   /// Base[Dst] recomputed from Dst's seeds under the same membership rule.
-  double recomputeBase(uint32_t Dst, const uint8_t *InPre,
-                       const uint8_t *ExtraGroup) const;
-  /// Σ v(c) * Cost(c) over the cost graph, reading V per statement.
-  double sumCost(const double *V) const;
+  double recomputeBase(uint32_t Dst, const uint8_t *InPre) const;
   /// Resumes the committed cost sum from ReachList position \p FromPos,
   /// reusing the stored partial below it and rewriting CostPrefix for
-  /// the tail — the identical operation sequence a cold sumCost()
-  /// performs from that point, hence bit-identical totals.
+  /// the tail — the identical operation sequence a cold sum from
+  /// position 0 performs from that point, hence bit-identical totals.
   double refillCostPrefix(Scratch &S, uint32_t FromPos) const;
   /// Shared tail of the commit entry points: after InPre has been
   /// flipped (and trailed), re-propagates the plan's cone in place with
@@ -286,12 +248,11 @@ private:
   /// refreshes S.Cost.
   void applyCommittedDelta(Scratch &S, const TogglePlan &Plan,
                            bool Refresh) const;
-  void buildDerivedStructures(bool ReferenceConstruction);
+  void buildDerivedStructures();
 
   const LoopDepGraph *G;
   std::vector<CrossSeed> Seeds;
   std::vector<PropEdge> Prop;               ///< Intra flow+control edges.
-  std::vector<std::vector<uint32_t>> InOf;  ///< Prop-edge indices per Dst.
   std::vector<uint8_t> Reach;
   std::vector<uint32_t> Order; ///< Quasi-topological processing order.
   bool Cyclic = false;
@@ -304,7 +265,7 @@ private:
   std::vector<uint32_t> ReachList; ///< Reachable stmts, ascending.
   std::vector<uint32_t> OrderPos;  ///< Position in Order (~0u if absent).
   std::vector<uint32_t> ReachPos;  ///< Position in ReachList (~0u).
-  std::vector<InEdge> InEdges;     ///< Flat CSR mirror of InOf.
+  std::vector<InEdge> InEdges;     ///< Incoming Prop edges, CSR by Dst.
   std::vector<uint32_t> InEdgeOff; ///< Per-Dst offsets into InEdges.
   /// Weight and IterFreq of each ReachList statement, flat in ReachList
   /// order, so the hot prefix re-sum streams instead of gathering from

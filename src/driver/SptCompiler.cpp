@@ -312,7 +312,6 @@ private:
     P.PreForkSizeFraction = Opts.Selection.PreForkSizeFraction;
     P.MaxViolationCandidates = Opts.Selection.MaxViolationCandidates;
     P.MaxSearchSeconds = Opts.MaxPartitionSeconds;
-    P.ReferenceEvaluation = Opts.ReferencePartitionEvaluation;
     P.Cancel = Opts.Cancel;
     P.Obs = Obs;
     return P;
@@ -558,7 +557,7 @@ void Compilation::stageSvp() {
         LoopDepGraph G = LoopDepGraph::build(M, *F, A.Cfg, A.Nest, *L,
                                              A.Freq, Effects,
                                              depGraphOptions(*F, *L));
-        MisspecCostModel Model(G, Opts.ReferencePartitionEvaluation);
+        MisspecCostModel Model(G);
         PartitionSearch Search(G, Model, partitionOptions());
         PartitionResult Current = Search.run();
         if (!Current.Searched ||
@@ -669,7 +668,7 @@ void Compilation::evaluateLoopCandidate(const Function &F,
   try {
     LoopDepGraph G = LoopDepGraph::build(M, F, A.Cfg, A.Nest, L, A.Freq,
                                          Effects, depGraphOptions(F, L));
-    MisspecCostModel Model(G, Opts.ReferencePartitionEvaluation);
+    MisspecCostModel Model(G);
     PartitionSearch Search(G, Model, partitionOptions());
     Rec.Partition = Search.run();
     if (Rec.Partition.BudgetExhausted) {
@@ -848,7 +847,7 @@ void Compilation::passTwo() {
     }
     LoopDepGraph G = LoopDepGraph::build(M, *F, A.Cfg, A.Nest, *L, A.Freq,
                                          Effects, depGraphOptions(*F, *L));
-    MisspecCostModel Model(G, Opts.ReferencePartitionEvaluation);
+    MisspecCostModel Model(G);
     PartitionResult P = PartitionSearch(G, Model, partitionOptions()).run();
     if (P.BudgetExhausted) {
       Rec.FailureDetail =

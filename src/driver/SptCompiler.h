@@ -161,11 +161,6 @@ struct SptCompilerOptions {
     /// falling through to lower-priority members. 0.0 (default)
     /// reproduces the pre-oracle behavior byte for byte.
     double ConfidenceFloor = 0.0;
-    /// depProfileDrift level above which serving infrastructure should
-    /// consider Profile stale and recompile with a fresh one. The
-    /// compiler itself does not act on it; sptserve's drift scenario and
-    /// custom schedulers read it from the options.
-    double DriftThreshold = 0.25;
   } Analysis;
 
   /// The span/counter observability layer (docs/observability.md).
@@ -206,12 +201,6 @@ struct SptCompilerOptions {
   /// early and returns a report with Cancelled = true; such reports are
   /// partial and must not be cached or compared.
   const CancelToken *Cancel = nullptr;
-
-  /// Use the retained pre-optimization cost/partition evaluation paths
-  /// (allocating per-node cost calls, O(E*V) cost-graph construction).
-  /// Results are bit-identical to the default incremental paths; this is
-  /// the measured baseline of bench/perf_compile.
-  bool ReferencePartitionEvaluation = false;
 
   // --- Builder: mode factories plus chainable with*() setters. ---
   //   auto Opts = SptCompilerOptions::best().withCores(4).withTracing();
@@ -372,9 +361,9 @@ CompilationReport compileSpt(Module &M, const SptCompilerOptions &Opts);
 /// Serializes every deterministic field of \p Report — modes, degradation,
 /// per-loop records (costs and weights at full %.17g precision, partitions,
 /// search statistics, failure details), diagnostics, and the SPT loop-id
-/// map. Wall-clock fields (PassOneSeconds) are excluded. The report-diff
-/// and cache-diff fuzz oracles, bench/perf_compile and
-/// tests/goldens/sims.golden compare reports through it.
+/// map. Wall-clock fields (PassOneSeconds) are excluded. The cache-diff
+/// fuzz oracle, bench/perf_compile, tests/goldens/sims.golden and
+/// tests/goldens/reports.golden compare reports through it.
 std::string renderReportDeterministic(const CompilationReport &Report);
 
 } // namespace spt

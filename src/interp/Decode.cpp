@@ -9,10 +9,9 @@
 //     and the fingerprint-validated module-level cache behind
 //     Module::decodeCache().
 //
-//  2. Interpreter::run() and Interpreter::runBatch(), the two
-//     instantiations of the decoded engine (interp/DecodeEngine.h) every
-//     caller without a sink of its own uses: run() builds no records at
-//     all, runBatch() streams them into a virtual StepSink.
+//  2. Interpreter::run(), the instantiation of the decoded engine
+//     (interp/DecodeEngine.h) for callers without a sink of their own; it
+//     builds no records at all.
 //
 //===----------------------------------------------------------------------===//
 
@@ -479,7 +478,7 @@ const DecodedFunction *Interpreter::imageOf(const Function *F) {
 }
 
 //===----------------------------------------------------------------------===//
-// Engine entry points (the engine itself is interp/DecodeEngine.h).
+// Engine entry point (the engine itself is interp/DecodeEngine.h).
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -490,20 +489,9 @@ struct NullSink {
   bool onStep(const StepResult &) { return true; }
 };
 
-/// runBatch(): records delivered through the virtual StepSink.
-struct VirtualSink {
-  StepSink &S;
-  bool onStep(const StepResult &R) { return S.onStep(R); }
-};
-
 } // namespace
 
 uint64_t Interpreter::run(uint64_t MaxSteps) {
   NullSink S;
-  return runWith(S, MaxSteps);
-}
-
-uint64_t Interpreter::runBatch(StepSink &Sink, uint64_t MaxSteps) {
-  VirtualSink S{Sink};
   return runWith(S, MaxSteps);
 }

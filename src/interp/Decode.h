@@ -20,7 +20,7 @@
 /// branch, constant feeding an add, mul feeding an add, and add feeding a
 /// load/store index — into single fused DecOps. A fused op executes its two
 /// IR instructions strictly sequentially and emits both StepResult records
-/// at the exact points the reference engine would, so fusion is invisible
+/// at the exact points step() would, so fusion is invisible
 /// to every observer. The second instruction's slot keeps its plain
 /// decoding (normal flow skips it; mid-stream entry at that position still
 /// works), and fusion never crosses a Call/Ret/fork boundary.

@@ -8,18 +8,17 @@
 /// The decoded execution engine: one dispatch loop, templated over the
 /// step sink, plus Interpreter::runWith, its entry point. Private to the
 /// executors: interp/Decode.cpp instantiates it for run() (no records at
-/// all) and runBatch() (records streamed to a virtual StepSink); the
-/// profiler, runSequential, the SPT main core and the chain ghosts include
-/// this header and instantiate it with their own concrete sink, so their
-/// per-instruction handler is inlined into every dispatch handler. spt.h
-/// does not include it.
+/// all); the profiler, runSequential, the SPT main core and the chain
+/// ghosts include this header and instantiate it with their own concrete
+/// sink, so their per-instruction handler is inlined into every dispatch
+/// handler. spt.h does not include it.
 ///
 /// Dispatch is computed-goto under SPT_INTERP_THREADED and a plain switch
 /// otherwise; the opcode bodies are written once behind macros.
 ///
 /// The byte-identity discipline: every record a fused or plain decoded op
-/// emits is constructed with exactly the fields the reference engine's
-/// step() would have produced, at the exact sequential point (a fused pair
+/// emits is constructed with exactly the fields step() would have
+/// produced, at the exact sequential point (a fused pair
 /// emits its first record before the second instruction executes), and
 /// the final <=1 step of a bounded run is delegated to step() itself so a
 /// budget can never split a superinstruction.
@@ -75,13 +74,13 @@ uint64_t DecodeEngine::run(Interpreter &In, Sink &S, uint64_t MaxSteps) {
 
   uint64_t Steps = 0;
   // The fast loop only starts an op with >= 2 steps of budget so a fused
-  // pair can never overshoot MaxSteps; the final step goes through the
-  // reference engine in the tail below.
+  // pair can never overshoot MaxSteps; the final step goes through
+  // step() in the tail below.
   const uint64_t FastBudget = MaxSteps - 1;
   bool Go = true;
 
   // Decoded images for every live frame (frames may have been pushed by
-  // the reference engine before this call).
+  // step() before this call).
   std::vector<const DecodedFunction *> Imgs;
   Imgs.reserve(In.Stack.size() + 16);
   for (const Frame &Fr : In.Stack)
@@ -101,9 +100,9 @@ uint64_t DecodeEngine::run(Interpreter &In, Sink &S, uint64_t MaxSteps) {
     R = In.RegArena.data() + Fr.RegBase;
   };
 
-  // Record emitters. Each builds exactly the StepResult the reference
-  // engine would have returned and runs the sink synchronously, at the
-  // sequential point step() would have returned it. They are forced
+  // Record emitters. Each builds exactly the StepResult step() would
+  // have returned and runs the sink synchronously, at the sequential
+  // point step() would have returned it. They are forced
   // inline and build the record by aggregate initialization (no
   // constructor call), so with a concrete sink every handler sees its
   // record kind (load, store, branch, value op) as compile-time constants.
@@ -601,8 +600,8 @@ ExitLoop:
   }
 ExitDone:
   // At most one step of budget can remain (the fast loop keeps a 2-step
-  // margin so superinstructions never overshoot); retire it through the
-  // reference engine, which is single-step by construction.
+  // margin so superinstructions never overshoot); retire it through
+  // step(), which is single-step by construction.
   while (Go && !In.Stack.empty() && Steps < MaxSteps) {
     const StepResult Rc = In.step();
     ++Steps;
@@ -615,16 +614,7 @@ ExitDone:
 }
 template <class Sink>
 uint64_t Interpreter::runWith(Sink &S, uint64_t MaxSteps) {
-  if (Opts.Dispatch == InterpDispatch::Decoded)
-    return DecodeEngine::run(*this, S, MaxSteps);
-  uint64_t Steps = 0;
-  while (!done() && Steps < MaxSteps) {
-    const StepResult R = step();
-    ++Steps;
-    if (!S.onStep(R))
-      break;
-  }
-  return Steps;
+  return DecodeEngine::run(*this, S, MaxSteps);
 }
 
 } // namespace spt

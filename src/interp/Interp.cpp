@@ -2,11 +2,11 @@
 //
 // Part of the SPT framework (PLDI 2004 reproduction). MIT license.
 //
-// This file implements the machine state and the *reference* engine — the
-// tree-walking switch over ir::Instr behind step(). The decoded engine
-// (run()/runBatch() under InterpDispatch::Decoded) lives in Decode.cpp;
-// both operate on the same state and must stay byte-identical in every
-// observable (tests/interp_decode_test.cpp).
+// This file implements the machine state and step(), the tree-walking
+// switch over ir::Instr. The decoded engine behind run() and runWith()
+// lives in Decode.cpp and DecodeEngine.h; both operate on the same state
+// and must stay byte-identical in every observable
+// (tests/interp_decode_test.cpp).
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +23,6 @@
 using namespace spt;
 
 Interpreter::MemHooks::~MemHooks() = default;
-StepSink::~StepSink() = default;
 
 std::vector<uint64_t> spt::arrayBaseLayout(const Module &M) {
   std::vector<uint64_t> Bases(M.numArrays());

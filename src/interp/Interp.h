@@ -7,25 +7,21 @@
 /// \file
 /// A precise, steppable interpreter for the SPT IR. One Interpreter instance
 /// is one hardware context: a call stack, a register file per frame, and a
-/// view of the module's array memory. Profilers (edge, dependence, value)
-/// and the SPT simulator drive it through two engines that are observably
-/// byte-identical:
+/// view of the module's array memory.
 ///
-///   Reference engine — step(): a tree-walking switch over ir::Instr that
-///   executes exactly one instruction and returns a full StepResult. It is
-///   the semantic baseline every other engine is differenced against
-///   (tests/interp_decode_test.cpp, the interp-decode-diff fuzzing oracle).
+/// There is one engine, the decoded one (interp/Decode.h): a pre-decoded
+/// flat code stream with threaded dispatch and superinstruction fusion.
+/// run() drives it without building any records. The executors that retire
+/// 150M+ instructions per run (the profiler, runSequential, the SPT main
+/// core and chain ghosts) call runWith() with their own concrete sink,
+/// which the engine inlines into every handler (interp/DecodeEngine.h).
 ///
-///   Decoded engine — run()/runBatch()/runWith(): executes a pre-decoded
-///   flat code stream (interp/Decode.h) with threaded dispatch and
-///   superinstruction fusion. runBatch() streams the same StepResult
-///   records into a virtual StepSink instead of materializing and returning
-///   one per call; run() skips record construction entirely. The drivers
-///   that retire 150M+ instructions per run (the profiler, runSequential,
-///   the SPT main core and chain ghosts) call runWith() with their own
-///   concrete sink, which the engine inlines into every handler
-///   (interp/DecodeEngine.h). InterpOptions::Dispatch selects the engine;
-///   both see the same machine state, so they can even be interleaved.
+/// step() executes exactly one instruction with a tree-walking switch over
+/// ir::Instr and returns a full StepResult. The decoded engine retires the
+/// last step of a bounded run through it, so a budget never splits a fused
+/// pair, and it is the semantic baseline the decoded engine is differenced
+/// against (tests/interp_decode_test.cpp, the interp-decode-diff fuzzing
+/// oracle). Both see the same machine state and can be interleaved.
 ///
 /// Design notes:
 ///  - Arrays live in a flat byte-address space (8 bytes per element) so the
@@ -135,44 +131,10 @@ struct Frame {
   size_t RegBase = 0;  // First register slot in the interpreter's arena.
 };
 
-/// Which execution engine drives run()/runBatch().
-enum class InterpDispatch : uint8_t {
-  Decoded,   ///< Pre-decoded stream, threaded dispatch, superinstructions.
-  Reference, ///< The tree-walking switch engine (differential baseline).
-};
-
 /// Interpreter options.
 struct InterpOptions {
   uint64_t RngSeed = 0x5eed5eed5eedull;
-  InterpDispatch Dispatch = InterpDispatch::Decoded;
 };
-
-/// Synchronous consumer of StepResult records for Interpreter::runBatch.
-/// onStep is invoked after each IR instruction retires, at the exact point
-/// step() would have returned, so a sink may inspect interpreter state
-/// (stackDepth, topFrame, memory) and sees what a step() driver saw.
-/// Returning false stops the run after the current record. Hot executors
-/// skip the virtual call with Interpreter::runWith and a concrete sink.
-class StepSink {
-public:
-  virtual ~StepSink();
-  virtual bool onStep(const StepResult &R) = 0;
-};
-
-/// Adapts a callable to a StepSink, for drivers whose per-step handling is
-/// a local lambda over driver state.
-template <class Fn> class LambdaSink final : public StepSink {
-public:
-  explicit LambdaSink(Fn F) : F(std::move(F)) {}
-  bool onStep(const StepResult &R) override { return F(R); }
-
-private:
-  Fn F;
-};
-
-template <class Fn> LambdaSink<Fn> makeStepSink(Fn F) {
-  return LambdaSink<Fn>(std::move(F));
-}
 
 /// The steppable machine. Memory (arrays) is owned by the interpreter;
 /// speculative contexts share it read-mostly via the SPT simulator's
@@ -229,29 +191,26 @@ public:
   /// True when the call stack is empty (the start call returned).
   bool done() const { return Stack.empty(); }
 
-  /// Executes exactly one instruction through the reference engine. Must
-  /// not be called when done(). Kept as the compatibility shim and the
-  /// differential baseline; state is shared with the decoded engine, so
-  /// step() and runBatch() may be interleaved freely.
+  /// Executes exactly one instruction with the tree-walking switch and
+  /// returns its record. Must not be called when done(). State is shared
+  /// with the decoded engine, so step() and run() may be interleaved
+  /// freely.
   StepResult step();
 
   /// Runs until done() or \p MaxSteps executed; returns steps executed.
-  /// Under InterpDispatch::Decoded no StepResult records are built at all —
-  /// this is the fastest way through a program.
+  /// No StepResult records are built at all — this is the fastest way
+  /// through a program.
   uint64_t run(uint64_t MaxSteps = ~0ull);
 
-  /// Runs like run() but delivers every StepResult to \p Sink, exactly the
-  /// records a step() loop would have produced, in the same order. Returns
-  /// the number of instructions executed. Stops when the sink returns
-  /// false, done(), or \p MaxSteps.
-  uint64_t runBatch(StepSink &Sink, uint64_t MaxSteps = ~0ull);
-
-  /// runBatch() for a concrete sink: any class with
-  /// `bool onStep(const StepResult &)`. The same engine, instantiated for
-  /// \p Sink so its handler is inlined into every opcode handler; same
-  /// records, same order, same stop rules, and InterpOptions::Dispatch is
-  /// honoured as in runBatch(). Defined in interp/DecodeEngine.h, which
-  /// the caller includes.
+  /// Runs like run() but delivers every StepResult to \p S, any class with
+  /// `bool onStep(const StepResult &)`: exactly the records a step() loop
+  /// would have produced, in the same order, each at the point step()
+  /// would have returned it, so a sink may inspect interpreter state.
+  /// Stops when the sink returns false (after that record), done(), or
+  /// \p MaxSteps; returns the number of instructions executed. The engine
+  /// is instantiated for \p Sink, whose handler is inlined into every
+  /// opcode handler. Defined in interp/DecodeEngine.h, which the caller
+  /// includes.
   template <class Sink> uint64_t runWith(Sink &S, uint64_t MaxSteps = ~0ull);
 
   /// The value returned by the finished start call.
@@ -314,7 +273,7 @@ private:
   friend struct DecodeEngine;
 
   /// The builtins the frontend knows. Decode resolves external callees to
-  /// a kind once; the reference engine resolves by name per call.
+  /// a kind once; step() resolves by name per call.
   enum class BuiltinKind : uint8_t {
     Sqrt,
     Log,
@@ -353,7 +312,7 @@ private:
   Random Rng;
   InterpOptions Opts;
   MemHooks *Hooks_ = nullptr;
-  /// Reused argument buffer for Call instructions (reference engine).
+  /// Reused argument buffer for Call instructions (step()).
   std::vector<Value> ArgScratch;
   /// Per-interpreter memo of fingerprint-validated decoded images, indexed
   /// by module function index. shared_ptr keeps an image alive across the

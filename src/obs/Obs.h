@@ -21,7 +21,7 @@
 /// Chrome trace export — so the text/JSON dumps are byte-reproducible.
 ///
 /// Naming: counter names are dotted lowercase paths, `component.detail`,
-/// e.g. "partition.prune.size" or "cost.scratch.evals.cone". See
+/// e.g. "partition.prune.size" or "cost.scratch.commits.cone". See
 /// docs/observability.md for the full catalogue.
 ///
 //===----------------------------------------------------------------------===//

@@ -22,8 +22,7 @@ PartitionSearch::PartitionSearch(const LoopDepGraph &G,
     : G(G), Model(Model), Opts(Opts) {
   SizeThreshold = Opts.PreForkSizeFraction * G.dynamicBodyWeight();
   buildVcGraph();
-  if (!Opts.ReferenceEvaluation &&
-      G.violationCandidates().size() <= Opts.MaxViolationCandidates)
+  if (G.violationCandidates().size() <= Opts.MaxViolationCandidates)
     buildPlans();
 }
 
@@ -234,28 +233,6 @@ void PartitionSearch::buildPlans() {
   AllMovablePlan = Model.planToggle(std::move(Acc));
 }
 
-double PartitionSearch::evaluate(const std::vector<uint8_t> &Marks) {
-  ++Stats.CostEvals;
-  PartitionSet P(Marks.begin(), Marks.end());
-  return Model.cost(P);
-}
-
-double PartitionSearch::lowerBound(const std::vector<uint8_t> &Picked,
-                                   uint32_t MinNext) {
-  ++Stats.CostEvals;
-  // Hypothetically move every still-addable candidate: costs only shrink
-  // as candidates move, so this bounds all descendants from below.
-  PartitionSet P(G.size(), 0);
-  for (uint32_t NI = 0; NI != Nodes.size(); ++NI) {
-    const bool Hypothetical = NI >= MinNext && Nodes[NI].Movable;
-    if (!Picked[NI] && !Hypothetical)
-      continue;
-    for (uint32_t Vc : Nodes[NI].Vcs)
-      P[Vc] = 1;
-  }
-  return Model.cost(P);
-}
-
 bool PartitionSearch::outOfBudget() {
   if (Stats.BudgetExhausted)
     return true;
@@ -306,7 +283,7 @@ void PartitionSearch::recordIncumbent(const std::vector<uint8_t> &Picked,
 }
 
 //===----------------------------------------------------------------------===//
-// Incremental search (default)
+// Base search
 //===----------------------------------------------------------------------===//
 
 void PartitionSearch::searchFast(uint32_t MinNext,
@@ -407,84 +384,6 @@ void PartitionSearch::searchFast(uint32_t MinNext,
 
   for (; LbAdvances != 0; --LbAdvances)
     Model.undoToggle(LbScratch);
-}
-
-//===----------------------------------------------------------------------===//
-// Reference search (retained pre-optimization code)
-//===----------------------------------------------------------------------===//
-
-void PartitionSearch::searchReference(uint32_t MinNext,
-                                      std::vector<uint8_t> &Picked,
-                                      std::vector<uint32_t> &UnionClosure,
-                                      PartitionResult &Best) {
-  ++Stats.NodesVisited;
-
-  // Evaluate the current partition.
-  std::vector<uint8_t> CurMarks(G.size(), 0);
-  double CurWeight = 0.0;
-  for (uint32_t StmtIdx : UnionClosure) {
-    CurMarks[StmtIdx] = 1;
-    CurWeight += G.stmt(StmtIdx).Weight * G.stmt(StmtIdx).IterFreq;
-  }
-  const double Cost = evaluate(CurMarks);
-  recordIncumbent(Picked, CurMarks, Cost, CurWeight, Best);
-
-  if (outOfBudget())
-    return;
-
-  for (uint32_t Next = MinNext; Next < Nodes.size(); ++Next) {
-    const VcNode &N = Nodes[Next];
-    if (!N.Movable)
-      continue;
-    bool PredsSatisfied = true;
-    for (uint32_t P : N.Preds)
-      if (!Picked[P]) {
-        PredsSatisfied = false;
-        break;
-      }
-    if (!PredsSatisfied)
-      continue;
-
-    // Heuristic 1: pre-fork size threshold.
-    double NewWeight = CurWeight;
-    std::vector<uint32_t> Added;
-    for (uint32_t StmtIdx : N.Closure)
-      if (!CurMarks[StmtIdx]) {
-        Added.push_back(StmtIdx);
-        NewWeight += G.stmt(StmtIdx).Weight * G.stmt(StmtIdx).IterFreq;
-      }
-    if (Opts.EnableSizePrune && NewWeight > SizeThreshold + 1e-12) {
-      ++Stats.SizePrunes;
-      continue;
-    }
-
-    // Heuristic 2: monotone lower bound on the subtree's cost.
-    if (Opts.EnableLowerBoundPrune) {
-      Picked[Next] = 1;
-      const double Lb = lowerBound(Picked, Next + 1);
-      Picked[Next] = 0;
-      if (Lb >= Best.Cost - 1e-12) {
-        ++Stats.LowerBoundPrunes;
-        continue;
-      }
-    }
-
-    // Descend.
-    Picked[Next] = 1;
-    for (uint32_t StmtIdx : Added) {
-      CurMarks[StmtIdx] = 1;
-      UnionClosure.push_back(StmtIdx);
-    }
-    searchReference(Next + 1, Picked, UnionClosure, Best);
-    for (size_t K = 0; K != Added.size(); ++K)
-      UnionClosure.pop_back();
-    for (uint32_t StmtIdx : Added)
-      CurMarks[StmtIdx] = 0;
-    Picked[Next] = 0;
-
-    if (outOfBudget())
-      return;
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -601,83 +500,6 @@ void PartitionSearch::kwaySearchFast(uint32_t MinNext,
     Model.undoToggle(LbScratch);
 }
 
-// Mirrors searchReference: per-node closure rebuild and allocating cost
-// calls, walking exactly the tree kwaySearchFast walks (same prunes on
-// the same bit-identical values).
-void PartitionSearch::kwaySearchReference(uint32_t MinNext,
-                                          std::vector<uint8_t> &Picked,
-                                          std::vector<uint32_t> &UnionClosure,
-                                          double Mult, double Threshold,
-                                          KwayCutRecord &Best) {
-  ++Stats.NodesVisited;
-
-  std::vector<uint8_t> CurMarks(G.size(), 0);
-  double CurWeight = 0.0;
-  for (uint32_t StmtIdx : UnionClosure) {
-    CurMarks[StmtIdx] = 1;
-    CurWeight += G.stmt(StmtIdx).Weight * G.stmt(StmtIdx).IterFreq;
-  }
-  const double Cost = evaluate(CurMarks);
-  recordKwayIncumbent(Picked, CurMarks, Cost, CurWeight, Mult, Threshold,
-                      Best);
-
-  if (outOfBudget())
-    return;
-
-  for (uint32_t Next = MinNext; Next < Nodes.size(); ++Next) {
-    const VcNode &N = Nodes[Next];
-    if (!N.Movable || Picked[Next])
-      continue;
-    bool PredsSatisfied = true;
-    for (uint32_t P : N.Preds)
-      if (!Picked[P]) {
-        PredsSatisfied = false;
-        break;
-      }
-    if (!PredsSatisfied)
-      continue;
-
-    double NewWeight = CurWeight;
-    std::vector<uint32_t> Added;
-    for (uint32_t StmtIdx : N.Closure)
-      if (!CurMarks[StmtIdx]) {
-        Added.push_back(StmtIdx);
-        NewWeight += G.stmt(StmtIdx).Weight * G.stmt(StmtIdx).IterFreq;
-      }
-    if (Opts.EnableSizePrune && NewWeight > Threshold + 1e-12) {
-      ++Stats.SizePrunes;
-      continue;
-    }
-
-    if (Opts.EnableLowerBoundPrune) {
-      Picked[Next] = 1;
-      const double Lb = lowerBound(Picked, Next + 1);
-      Picked[Next] = 0;
-      const double LbJ = NewWeight + Mult * Lb;
-      if (LbJ >= Best.Objective - 1e-12) {
-        ++Stats.LowerBoundPrunes;
-        continue;
-      }
-    }
-
-    Picked[Next] = 1;
-    for (uint32_t StmtIdx : Added) {
-      CurMarks[StmtIdx] = 1;
-      UnionClosure.push_back(StmtIdx);
-    }
-    kwaySearchReference(Next + 1, Picked, UnionClosure, Mult, Threshold,
-                        Best);
-    for (size_t K = 0; K != Added.size(); ++K)
-      UnionClosure.pop_back();
-    for (uint32_t StmtIdx : Added)
-      CurMarks[StmtIdx] = 0;
-    Picked[Next] = 0;
-
-    if (outOfBudget())
-      return;
-  }
-}
-
 KwayPartitionResult PartitionSearch::runKway(const PartitionResult &Base,
                                              uint32_t Levels) {
   KwayPartitionResult Out;
@@ -731,40 +553,30 @@ KwayPartitionResult PartitionSearch::runKway(const PartitionResult &Base,
     const double Threshold = std::min(Base.BodyWeight, Mult * SizeThreshold);
     const KwayCutRecord &Prev = Out.Cuts.back();
     KwayCutRecord BestCut;
-    if (Opts.ReferenceEvaluation) {
-      std::vector<uint32_t> UnionClosure;
-      for (uint32_t SI = 0; SI != Prev.InPreFork.size(); ++SI)
-        if (Prev.InPreFork[SI])
-          UnionClosure.push_back(SI);
-      kwaySearchReference(0, Picked, UnionClosure, Mult, Threshold, BestCut);
-    } else {
-      // Seed the branch state from the previous cut, summing weights in
-      // ascending statement order — the same order the reference path's
-      // root rebuild uses, so both start from bit-identical weights.
-      Marks.assign(G.size(), 0);
-      Weight = 0.0;
-      AddedBuf.clear();
-      for (uint32_t SI = 0; SI != G.size(); ++SI)
-        if (SI < Prev.InPreFork.size() && Prev.InPreFork[SI]) {
-          Marks[SI] = 1;
-          Weight += G.stmt(SI).Weight * G.stmt(SI).IterFreq;
-        }
-      PartitionSet PrevP(G.size(), 0);
-      for (uint32_t Vc : Prev.ChosenVcs)
-        PrevP[Vc] = 1;
-      ++Stats.CostEvals;
-      Model.initScratch(Scratch, PrevP);
-      if (Opts.EnableLowerBoundPrune && !Nodes.empty()) {
-        Model.initScratch(LbScratch, PrevP);
-        std::vector<uint32_t> Acc;
-        for (uint32_t NI = 0; NI != Nodes.size(); ++NI)
-          if (Nodes[NI].Movable && !Picked[NI])
-            Acc.insert(Acc.end(), Nodes[NI].Vcs.begin(),
-                       Nodes[NI].Vcs.end());
-        Model.commitToggle(LbScratch, Model.planToggle(std::move(Acc)));
+    // Seed the branch state from the previous cut, summing weights in
+    // ascending statement order.
+    Marks.assign(G.size(), 0);
+    Weight = 0.0;
+    AddedBuf.clear();
+    for (uint32_t SI = 0; SI != G.size(); ++SI)
+      if (SI < Prev.InPreFork.size() && Prev.InPreFork[SI]) {
+        Marks[SI] = 1;
+        Weight += G.stmt(SI).Weight * G.stmt(SI).IterFreq;
       }
-      kwaySearchFast(0, Picked, Mult, Threshold, BestCut);
+    PartitionSet PrevP(G.size(), 0);
+    for (uint32_t Vc : Prev.ChosenVcs)
+      PrevP[Vc] = 1;
+    ++Stats.CostEvals;
+    Model.initScratch(Scratch, PrevP);
+    if (Opts.EnableLowerBoundPrune && !Nodes.empty()) {
+      Model.initScratch(LbScratch, PrevP);
+      std::vector<uint32_t> Acc;
+      for (uint32_t NI = 0; NI != Nodes.size(); ++NI)
+        if (Nodes[NI].Movable && !Picked[NI])
+          Acc.insert(Acc.end(), Nodes[NI].Vcs.begin(), Nodes[NI].Vcs.end());
+      Model.commitToggle(LbScratch, Model.planToggle(std::move(Acc)));
     }
+    kwaySearchFast(0, Picked, Mult, Threshold, BestCut);
     PickFromVcs(BestCut.ChosenVcs);
     Out.ChainCost += BestCut.Cost;
     Out.Cuts.push_back(std::move(BestCut));
@@ -779,6 +591,7 @@ KwayPartitionResult PartitionSearch::runKway(const PartitionResult &Base,
     obsAdd(Obs, "partition.kway.nodes.visited", Out.NodesVisited);
     obsAdd(Obs, "partition.kway.cost.evals", Out.CostEvals);
   }
+  flushScratchStats();
   return Out;
 }
 
@@ -807,22 +620,17 @@ PartitionResult PartitionSearch::run() {
     DeadlineNs = 0;
   }
   std::vector<uint8_t> Picked(Nodes.size(), 0);
-  if (Opts.ReferenceEvaluation) {
-    std::vector<uint32_t> UnionClosure;
-    searchReference(0, Picked, UnionClosure, Best);
-  } else {
-    Marks.assign(G.size(), 0);
-    Weight = 0.0;
-    AddedBuf.clear();
-    PartitionSet Empty(G.size(), 0);
-    ++Stats.CostEvals;
-    Model.initScratch(Scratch, Empty);
-    if (Opts.EnableLowerBoundPrune && !Nodes.empty()) {
-      Model.initScratch(LbScratch, Empty);
-      Model.commitToggle(LbScratch, AllMovablePlan);
-    }
-    searchFast(0, Picked, Best);
+  Marks.assign(G.size(), 0);
+  Weight = 0.0;
+  AddedBuf.clear();
+  PartitionSet Empty(G.size(), 0);
+  ++Stats.CostEvals;
+  Model.initScratch(Scratch, Empty);
+  if (Opts.EnableLowerBoundPrune && !Nodes.empty()) {
+    Model.initScratch(LbScratch, Empty);
+    Model.commitToggle(LbScratch, AllMovablePlan);
   }
+  searchFast(0, Picked, Best);
 
   Best.NodesVisited = Stats.NodesVisited;
   Best.SizePrunes = Stats.SizePrunes;
@@ -842,20 +650,21 @@ PartitionResult PartitionSearch::run() {
     obsAdd(Obs, "partition.cost.evals", Best.CostEvals);
     obsAdd(Obs, "partition.budget.exhausted", Best.BudgetExhausted ? 1 : 0);
     obsSample(Obs, "partition.nodes_per_search", Best.NodesVisited);
-    const auto FlushScratch = [&](const MisspecCostModel::Scratch &S) {
-      obsAdd(Obs, "cost.scratch.inits", S.Stat.Inits);
-      obsAdd(Obs, "cost.scratch.reuses", S.Stat.Reuses);
-      obsAdd(Obs, "cost.scratch.evals.cone", S.Stat.ConeEvals);
-      obsAdd(Obs, "cost.scratch.evals.full_fixpoint", S.Stat.FullEvals);
-      obsAdd(Obs, "cost.scratch.commits.cone", S.Stat.ConeCommits);
-      obsAdd(Obs, "cost.scratch.commits.full_fixpoint", S.Stat.FullCommits);
-      obsAdd(Obs, "cost.scratch.undos", S.Stat.Undos);
-      obsMax(Obs, "cost.scratch.undo_depth.max", S.Stat.MaxDepth);
-    };
-    FlushScratch(Scratch);
-    FlushScratch(LbScratch);
-    if (Opts.ReferenceEvaluation)
-      obsAdd(Obs, "partition.reference.evals", Best.CostEvals);
   }
+  flushScratchStats();
   return Best;
+}
+
+void PartitionSearch::flushScratchStats() {
+  for (MisspecCostModel::Scratch *S : {&Scratch, &LbScratch}) {
+    if (ObsContext *Obs = Opts.Obs) {
+      obsAdd(Obs, "cost.scratch.inits", S->Stat.Inits);
+      obsAdd(Obs, "cost.scratch.reuses", S->Stat.Reuses);
+      obsAdd(Obs, "cost.scratch.commits.cone", S->Stat.ConeCommits);
+      obsAdd(Obs, "cost.scratch.commits.full_fixpoint", S->Stat.FullCommits);
+      obsAdd(Obs, "cost.scratch.undos", S->Stat.Undos);
+      obsMax(Obs, "cost.scratch.undo_depth.max", S->Stat.MaxDepth);
+    }
+    S->Stat = MisspecCostModel::Scratch::EvalStats();
+  }
 }

@@ -27,23 +27,16 @@
 /// Loops with more than MaxViolationCandidates are skipped outright, as in
 /// the paper.
 ///
-/// Two evaluation strategies drive the identical search tree:
-///
-///  - The *incremental* strategy (default) keeps a MisspecCostModel::Scratch
-///    committed to the current tree node's partition, updated via
-///    commitToggle()/undoToggle() on descend/backtrack; the lower bound is
-///    one costWithToggled() against a precomputed suffix TogglePlan (the
-///    still-addable candidates of positions >= Next are exactly the movable
-///    suffix, so no per-call set union is needed). Marks and the pre-fork
-///    weight are maintained incrementally along the branch. Nothing on the
-///    hot path allocates.
-///  - The *reference* strategy (PartitionOptions::ReferenceEvaluation)
-///    retains the pre-optimization code: per-node Marks rebuild from the
-///    union closure, a PartitionSet copy per evaluation, and allocating
-///    MisspecCostModel::cost() calls. It exists as the measured baseline of
-///    bench/perf_compile and as the oracle for the equivalence tests —
-///    both strategies visit the same nodes, take the same prunes, and
-///    return bit-identical costs and partitions.
+/// The search is incremental: a MisspecCostModel::Scratch stays committed
+/// to the current tree node's partition, updated by commitToggle() and
+/// undoToggle() on descend and backtrack. A second, sliding scratch holds
+/// the committed partition united with the still-addable candidates (the
+/// movable suffix), so each lower-bound probe is a read of its settled
+/// cost. Marks and the pre-fork weight are maintained along the branch,
+/// and nothing on the hot path allocates. The pre-optimization search in
+/// testing/ReferencePlanner.h walks the same tree through the VC-graph
+/// accessors below and must return bit-identical results; the
+/// equivalence tests and the partition-diff fuzz oracle check that.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,14 +79,10 @@ struct PartitionOptions {
   /// Ablation toggles for the two pruning heuristics.
   bool EnableSizePrune = true;
   bool EnableLowerBoundPrune = true;
-  /// Use the retained pre-optimization evaluation path (allocating cost
-  /// calls, per-node closure rebuilds, O(nodes*vcs) lower-bound unions).
-  /// The perf_compile baseline and the equivalence tests set this; results
-  /// are bit-identical to the default incremental path.
-  bool ReferenceEvaluation = false;
   /// Observability sink; null (the default) disables recording. The hot
-  /// search path never touches it — run() flushes its statistics and the
-  /// scratches' evaluation counters once, after the search finishes.
+  /// search path never touches it — run() and runKway() flush their
+  /// statistics and the scratches' evaluation counters once, after the
+  /// search finishes.
   ObsContext *Obs = nullptr;
 };
 
@@ -122,7 +111,7 @@ struct PartitionResult {
   uint64_t SizePrunes = 0;
   uint64_t LowerBoundPrunes = 0;
   /// Cost-model evaluations performed (node evaluations plus lower-bound
-  /// probes); identical across both evaluation strategies.
+  /// probes).
   uint64_t CostEvals = 0;
   uint32_t NumViolationCandidates = 0;
 };
@@ -178,9 +167,7 @@ public:
   /// subject to the relaxed size threshold min(BodyWeight,
   /// d * SizeThreshold) — the d-th chained thread forks later, so its
   /// serial prefix may be proportionally larger, but its misspeculation
-  /// cost is paid by every downstream segment. Both evaluation
-  /// strategies (PartitionOptions::ReferenceEvaluation) walk the same
-  /// tree and return bit-identical cuts, like run().
+  /// cost is paid by every downstream segment.
   KwayPartitionResult runKway(const PartitionResult &Base, uint32_t Levels);
 
   /// Number of VC-dep-graph nodes (condensed strongly-connected
@@ -194,6 +181,11 @@ public:
 
   /// Whether the node can legally move (its closure is fully movable).
   bool nodeMovable(size_t NodeIdx) const { return Nodes[NodeIdx].Movable; }
+
+  /// The VC nodes this node depends on (sorted, all at lower indices).
+  const std::vector<uint32_t> &nodePreds(size_t NodeIdx) const {
+    return Nodes[NodeIdx].Preds;
+  }
 
   /// The violation candidates grouped into one VC node.
   const std::vector<uint32_t> &nodeVcs(size_t NodeIdx) const {
@@ -223,17 +215,12 @@ private:
   /// True when the node budget or the wall-clock deadline is spent; sets
   /// Stats.BudgetExhausted on first detection.
   bool outOfBudget();
+  /// Adds both scratches' evaluation counters to Opts.Obs (when set) and
+  /// zeroes them, so each search's work is counted exactly once.
+  void flushScratchStats();
 
-  // Incremental strategy (default).
   void searchFast(uint32_t MinNext, std::vector<uint8_t> &Picked,
                   PartitionResult &Best);
-
-  // Reference strategy (retained pre-optimization code).
-  void searchReference(uint32_t MinNext, std::vector<uint8_t> &Picked,
-                       std::vector<uint32_t> &UnionClosure,
-                       PartitionResult &Best);
-  double evaluate(const std::vector<uint8_t> &Marks);
-  double lowerBound(const std::vector<uint8_t> &Picked, uint32_t MinNext);
 
   void recordIncumbent(const std::vector<uint8_t> &Picked,
                        const std::vector<uint8_t> &CurMarks, double Cost,
@@ -243,9 +230,6 @@ private:
   // nodes, minimizing CurWeight + Mult * cost under Threshold).
   void kwaySearchFast(uint32_t MinNext, std::vector<uint8_t> &Picked,
                       double Mult, double Threshold, KwayCutRecord &Best);
-  void kwaySearchReference(uint32_t MinNext, std::vector<uint8_t> &Picked,
-                           std::vector<uint32_t> &UnionClosure, double Mult,
-                           double Threshold, KwayCutRecord &Best);
   void recordKwayIncumbent(const std::vector<uint8_t> &Picked,
                            const std::vector<uint8_t> &CurMarks, double Cost,
                            double CurWeight, double Mult, double Threshold,
@@ -256,7 +240,6 @@ private:
   PartitionOptions Opts;
   std::vector<VcNode> Nodes; ///< Topologically sorted.
   double SizeThreshold = 0.0;
-  uint64_t VisitBudget = 0;
   /// Wall-clock deadline in steady_clock nanoseconds-since-epoch units;
   /// 0 when no deadline is armed. Checked every DeadlineCheckStride visits
   /// so the clock read does not dominate small searches.
@@ -264,8 +247,8 @@ private:
   static constexpr uint64_t DeadlineCheckStride = 1024;
   PartitionResult Stats;
 
-  // Incremental-search state (prepared once per PartitionSearch; the hot
-  // path never allocates).
+  // Search state (prepared once per PartitionSearch; the hot path never
+  // allocates).
   MisspecCostModel::Scratch Scratch;
   /// Sliding lower-bound scratch. Throughout a tree node's child loop it
   /// holds the committed partition united with the movable suffix at the
@@ -273,8 +256,8 @@ private:
   /// bound evaluates — so each probe is a read of LbScratch.Cost. The
   /// state needs no update on descend (committed ∪ {Next} ∪
   /// suffix(Next+1) is the same set as committed ∪ suffix(Next)) and one
-  /// cone-local commitUntoggle() whenever the loop moves past a movable
-  /// node; every level undoes its own advances on exit.
+  /// cone-local commitUntoggleDeferred() whenever the loop moves past a
+  /// movable node; every level undoes its own advances on exit.
   MisspecCostModel::Scratch LbScratch;
   std::vector<MisspecCostModel::TogglePlan> NodePlans;
   /// Plan toggling the VCs of every movable node: seeds LbScratch at the

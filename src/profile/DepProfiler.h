@@ -23,7 +23,7 @@
 /// Staleness is a first-class concept: `depProfileDrift` compares two
 /// artifacts for the same program and returns a [0,1] distance between
 /// their conflict-rate distributions. When fresh measurements drift past
-/// `AnalysisOptions::DriftThreshold`, recompiling against the fresh
+/// `DepProfileDriftThreshold`, recompiling against the fresh
 /// profile beats keeping the stale plan — the scenario
 /// `sptserve --selfcheck` exercises end to end (docs/profiling.md).
 ///
@@ -118,6 +118,12 @@ StatusOr<DepProfileArtifact> parseDepProfile(const std::string &Text);
 /// inner compute loops never dilute the verdict. Symmetric.
 double depProfileDrift(const DepProfileArtifact &A,
                        const DepProfileArtifact &B);
+
+/// depProfileDrift level above which serving infrastructure should
+/// consider an artifact stale and recompile with a fresh one. The
+/// compiler itself does not act on it; sptserve's drift scenario and
+/// sptprof read it.
+inline constexpr double DepProfileDriftThreshold = 0.25;
 
 /// Wraps an artifact as the measured member for a DepOracle ensemble
 /// (DepOracleConfig::Measured). Answers only memory-channel queries for

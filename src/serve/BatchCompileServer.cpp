@@ -12,6 +12,7 @@
 #include "profile/DepProfiler.h"
 #include "sim/FaultInjector.h"
 #include "support/CancelToken.h"
+#include "support/Compiler.h"
 #include "support/Hash.h"
 
 #include <algorithm>
@@ -36,7 +37,9 @@ const char *spt::serveStateName(ServeState S) {
 
 namespace {
 
-void appendField(std::string &Out, const char *Name, double V) {
+// Out of line: one call per double field, and GCC otherwise inlines the
+// formatting into every call site of compilerOptionsFingerprint.
+SPT_NOINLINE void appendField(std::string &Out, const char *Name, double V) {
   char Buf[96];
   std::snprintf(Buf, sizeof(Buf), "%s=%.17g;", Name, V);
   Out += Buf;
@@ -65,8 +68,6 @@ uint64_t spt::compilerOptionsFingerprint(const SptCompilerOptions &O) {
   appendField(S, "psteps", O.ProfileMaxSteps);
   appendField(S, "extprof", static_cast<uint64_t>(O.ExternalProfile != nullptr));
   appendField(S, "deadline", O.MaxPartitionSeconds);
-  appendField(S, "refeval",
-              static_cast<uint64_t>(O.ReferencePartitionEvaluation));
   appendField(S, "costfrac", O.Selection.CostFraction);
   appendField(S, "prefork", O.Selection.PreForkSizeFraction);
   appendField(S, "minbody", O.Selection.MinBodyWeight);
@@ -95,7 +96,6 @@ uint64_t spt::compilerOptionsFingerprint(const SptCompilerOptions &O) {
   // ProfilePath is provenance only and deliberately excluded.
   S += "oracle=" + O.Analysis.DependenceOracle + ";";
   appendField(S, "conffloor", O.Analysis.ConfidenceFloor);
-  appendField(S, "drift", O.Analysis.DriftThreshold);
   appendField(S, "artifact",
               O.Analysis.Profile ? O.Analysis.Profile->Checksum : uint64_t(0));
   return fnv1a(S);

@@ -22,9 +22,9 @@
 ///                   the baseline checksum and output, per mode.
 ///   interp-decode-diff
 ///                   the interpreter's decoded (threaded-dispatch,
-///                   superinstruction-fused) engine emits the reference
-///                   switch engine's exact StepResult stream, output and
-///                   memory image, on the base and transformed modules.
+///                   superinstruction-fused) engine emits a step() loop's
+///                   exact StepResult stream, output and memory image, on
+///                   the base and transformed modules.
 ///   seqsim          the sequential simulator computes the same result,
 ///                   output and final memory image as plain
 ///                   interpretation.
@@ -32,13 +32,14 @@
 ///                   matches the sequential reference, per mode.
 ///   chaos           ditto under fault injection (forced squashes, value
 ///                   flips, timing jitter).
-///   cost-diff       MisspecCostModel scratch path is bit-identical to
-///                   the reference path on the program's dependence
-///                   graphs, over random partition walks.
-///   partition-diff  PartitionSearch incremental and reference strategies
-///                   return bit-identical results on the program's loops.
-///   report-diff     whole-pipeline reference vs incremental evaluation:
-///                   renderReportDeterministic is byte-equal.
+///   cost-diff       MisspecCostModel is bit-identical to the reference
+///                   model (testing/ReferencePlanner.h) over random
+///                   partitions of the program's loop graphs: the static
+///                   ones, and the ones built from a profiling run of the
+///                   base module as Best-mode pass 1 builds them.
+///   partition-diff  PartitionSearch returns the reference search's
+///                   bit-identical results on the same two sets of
+///                   graphs.
 ///   cache-diff      warm-cache compiles byte-equal to cold compiles;
 ///                   corrupted cache entries are detected, never served.
 ///   kway-diff       the generalized N-core SPT engine is byte-identical

@@ -15,6 +15,7 @@
 #include "analysis/Cfg.h"
 #include "analysis/LoopInfo.h"
 #include "support/WrapMath.h"
+#include "testing/StepSink.h"
 
 #include <map>
 #include <memory>
@@ -75,8 +76,8 @@ struct ValueWatchState {
   std::map<int64_t, uint64_t> Diffs; ///< Capped in size.
 };
 
-/// The profiler is a StepSink: the interpreter's batched runner streams
-/// every StepResult into onStep, which does exactly what the old
+/// The profiler is a StepSink: runBatch streams every StepResult into
+/// onStep, which does exactly what the old
 /// step()-loop body did (edge/dep/value collection, shadow-stack upkeep,
 /// cancellation polling).
 class ProfilerRun final : public StepSink {
@@ -251,7 +252,7 @@ ProfileBundle ProfilerRun::run(const std::string &FnName,
     Bundle.Completed = false;
     Bundle.Error = "profileRun: cancelled after 0 steps";
   } else {
-    Machine.runBatch(*this, Opts.MaxSteps);
+    runBatch(Machine, *this, Opts.MaxSteps);
   }
   if (!Machine.done() && Bundle.Completed) {
     // Budget exhaustion is survivable: the caller gets whatever was

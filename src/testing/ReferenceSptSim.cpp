@@ -7,7 +7,7 @@
 // The original one-main-one-spec SPT engine, kept verbatim as the
 // differential baseline of the N-core chain engine in sim/SptSim.cpp. It
 // shares the speculation scoreboard (sim/SpecMachinery.h) and runs its
-// main core and ghost through lambda sinks on Interpreter::runBatch.
+// main core and ghost through lambda sinks on runBatch (testing/StepSink.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,7 @@
 #include "sim/FaultInjector.h"
 #include "sim/SpecMachinery.h"
 #include "support/Debug.h"
+#include "testing/StepSink.h"
 
 #include <algorithm>
 #include <map>
@@ -165,7 +166,7 @@ GhostOutcome runGhost(const Module &M, Interpreter &MainIn,
       return false; // Fell out of the loop frame: treat as squashed.
     return true;
   });
-  Ghost.runBatch(Sink, MaxGhostSteps);
+  runBatch(Ghost, Sink, MaxGhostSteps);
 
   Ghost.setMemHooks(nullptr);
   Out.EndSubtick = Core.now();
@@ -403,7 +404,7 @@ SptSimResult spt::runSptTwoCore(const Module &M,
     }
     return true;
   });
-  In.runBatch(Sink, MaxSteps);
+  runBatch(In, Sink, MaxSteps);
   if (!In.done())
     spt_fatal("runSpt: step budget exhausted (infinite loop?)");
 

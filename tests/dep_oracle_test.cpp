@@ -295,7 +295,7 @@ TEST(DepProfileArtifactTest, DriftSeparatesInputDistributions) {
   // any reasonable threshold.
   EXPECT_EQ(depProfileDrift(Dense, Dense2), 0.0);
   const double D = depProfileDrift(Dense, Sparse);
-  EXPECT_GT(D, SptCompilerOptions().Analysis.DriftThreshold);
+  EXPECT_GT(D, DepProfileDriftThreshold);
   EXPECT_LE(D, 1.0);
   EXPECT_DOUBLE_EQ(depProfileDrift(Sparse, Dense), D) << "drift is symmetric";
 }

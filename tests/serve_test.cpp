@@ -465,6 +465,22 @@ TEST(ServeCacheTest, MachineWidthIsPartOfTheCacheKey) {
   EXPECT_EQ(Narrow.Outcomes[0].Report.find("cores="), std::string::npos);
 }
 
+TEST(ServeCacheTest, ReportNeutralSettingsShareTheKey) {
+  // Cancellation, tracing and the artifact's provenance path cannot
+  // change a report (the determinism contract), so requests differing
+  // only in them must share cache entries.
+  const SptCompilerOptions Plain;
+  const uint64_t Key = compilerOptionsFingerprint(Plain);
+  CancelToken Tok;
+  EXPECT_EQ(compilerOptionsFingerprint(Plain.withCancel(&Tok)), Key);
+  ObsContext Obs;
+  EXPECT_EQ(compilerOptionsFingerprint(Plain.withTracing(&Obs)), Key);
+  EXPECT_EQ(compilerOptionsFingerprint(Plain.withTracing()), Key);
+  SptCompilerOptions WithPath = Plain;
+  WithPath.Analysis.ProfilePath = "elsewhere.sptprof";
+  EXPECT_EQ(compilerOptionsFingerprint(WithPath), Key);
+}
+
 TEST(ServeCacheTest, ProfileArtifactIsPartOfTheCacheKey) {
   // A report compiled against one measured dependence-profile artifact
   // must never be served for a request carrying a different artifact (or

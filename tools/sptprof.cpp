@@ -195,7 +195,7 @@ int selfcheck() {
   check(AllRejected, "every single-byte corruption is rejected");
 
   // Drift separates input distributions.
-  const double Threshold = SptCompilerOptions().Analysis.DriftThreshold;
+  const double Threshold = DepProfileDriftThreshold;
   check(depProfileDrift(Dense, Dense2) == 0.0,
         "identical input distributions measure zero drift");
   check(depProfileDrift(Dense, Sparse) > Threshold,
@@ -314,7 +314,7 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     const double Drift = depProfileDrift(A.value(), B.value());
-    const double Threshold = SptCompilerOptions().Analysis.DriftThreshold;
+    const double Threshold = DepProfileDriftThreshold;
     std::printf("drift %.6f threshold %.2f verdict %s\n", Drift, Threshold,
                 Drift > Threshold ? "stale" : "fresh");
     return 0;

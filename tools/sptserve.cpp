@@ -492,7 +492,7 @@ bool selfcheckProfileDrift(const CliOptions &Cli) {
   auto Stale = std::make_shared<DepProfileArtifact>(StaleOr.value());
   auto Fresh = std::make_shared<DepProfileArtifact>(FreshOr.value());
 
-  const double Threshold = SptCompilerOptions().Analysis.DriftThreshold;
+  const double Threshold = DepProfileDriftThreshold;
   if (!check(depProfileDrift(*Stale, *Stale) == 0.0 &&
                  depProfileDrift(*Stale, *Fresh) > Threshold,
              "drift: shifted distribution clears the staleness threshold",
