@@ -57,9 +57,8 @@ int main() {
             CfgProbabilities::staticHeuristic(*F, Cfg, Nest);
         FreqInfo Freq = FreqInfo::compute(*F, Cfg, Nest, Probs);
         for (uint32_t LI = 0; LI != Nest.numLoops(); ++LI) {
-          LoopDepGraph G = LoopDepGraph::build(*M, *F, Cfg, Nest,
-                                               *Nest.loop(LI), Freq,
-                                               Effects);
+          LoopDepGraph G = LoopDepGraph::build(*M, *F, Cfg, *Nest.loop(LI),
+                                               Freq, Effects);
           MisspecCostModel Model(G);
           PartitionOptions Opts;
           Opts.EnableSizePrune = C.Size;

@@ -65,8 +65,8 @@ KernelFixture &fixture() {
 void BM_DepGraphBuild(benchmark::State &State) {
   KernelFixture &K = fixture();
   for (auto _ : State) {
-    LoopDepGraph G = LoopDepGraph::build(*K.M, *K.F, K.Cfg, K.Nest,
-                                         *K.Nest.loop(0), K.Freq, K.Effects);
+    LoopDepGraph G = LoopDepGraph::build(*K.M, *K.F, K.Cfg, *K.Nest.loop(0),
+                                         K.Freq, K.Effects);
     benchmark::DoNotOptimize(G.edges().size());
   }
 }
@@ -74,8 +74,8 @@ BENCHMARK(BM_DepGraphBuild);
 
 void BM_CostModelConstruct(benchmark::State &State) {
   KernelFixture &K = fixture();
-  LoopDepGraph G = LoopDepGraph::build(*K.M, *K.F, K.Cfg, K.Nest,
-                                       *K.Nest.loop(0), K.Freq, K.Effects);
+  LoopDepGraph G = LoopDepGraph::build(*K.M, *K.F, K.Cfg, *K.Nest.loop(0),
+                                       K.Freq, K.Effects);
   for (auto _ : State) {
     MisspecCostModel Model(G);
     benchmark::DoNotOptimize(Model.hasCycles());
@@ -85,8 +85,8 @@ BENCHMARK(BM_CostModelConstruct);
 
 void BM_CostEvaluation(benchmark::State &State) {
   KernelFixture &K = fixture();
-  LoopDepGraph G = LoopDepGraph::build(*K.M, *K.F, K.Cfg, K.Nest,
-                                       *K.Nest.loop(0), K.Freq, K.Effects);
+  LoopDepGraph G = LoopDepGraph::build(*K.M, *K.F, K.Cfg, *K.Nest.loop(0),
+                                       K.Freq, K.Effects);
   MisspecCostModel Model(G);
   PartitionSet Empty(G.size(), 0);
   for (auto _ : State)
@@ -96,8 +96,8 @@ BENCHMARK(BM_CostEvaluation);
 
 void BM_PartitionSearch(benchmark::State &State) {
   KernelFixture &K = fixture();
-  LoopDepGraph G = LoopDepGraph::build(*K.M, *K.F, K.Cfg, K.Nest,
-                                       *K.Nest.loop(0), K.Freq, K.Effects);
+  LoopDepGraph G = LoopDepGraph::build(*K.M, *K.F, K.Cfg, *K.Nest.loop(0),
+                                       K.Freq, K.Effects);
   MisspecCostModel Model(G);
   for (auto _ : State) {
     PartitionResult R = PartitionSearch(G, Model).run();
@@ -108,8 +108,8 @@ BENCHMARK(BM_PartitionSearch);
 
 void BM_PartitionSearchNoPruning(benchmark::State &State) {
   KernelFixture &K = fixture();
-  LoopDepGraph G = LoopDepGraph::build(*K.M, *K.F, K.Cfg, K.Nest,
-                                       *K.Nest.loop(0), K.Freq, K.Effects);
+  LoopDepGraph G = LoopDepGraph::build(*K.M, *K.F, K.Cfg, *K.Nest.loop(0),
+                                       K.Freq, K.Effects);
   MisspecCostModel Model(G);
   PartitionOptions Opts;
   Opts.EnableSizePrune = false;

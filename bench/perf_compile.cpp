@@ -132,8 +132,8 @@ void runStress(const std::vector<Workload> &Suite, unsigned Filler,
           CfgProbabilities::staticHeuristic(*F, Cfg, Nest);
       FreqInfo Freq = FreqInfo::compute(*F, Cfg, Nest, Probs);
       for (uint32_t LI = 0; LI != Nest.numLoops(); ++LI) {
-        LoopDepGraph G0 = LoopDepGraph::build(*M, *F, Cfg, Nest,
-                                              *Nest.loop(LI), Freq, Effects);
+        LoopDepGraph G0 = LoopDepGraph::build(*M, *F, Cfg, *Nest.loop(LI), Freq,
+                                              Effects);
         if (G0.violationCandidates().empty())
           continue;
         LoopDepGraph G = replicateAcyclic(G0, Filler, K);

@@ -170,8 +170,8 @@ int main(int argc, char **argv) {
           CfgProbabilities::staticHeuristic(*F, Cfg, Nest);
       FreqInfo Freq = FreqInfo::compute(*F, Cfg, Nest, Probs);
       for (uint32_t LI = 0; LI != Nest.numLoops(); ++LI) {
-        LoopDepGraph G = LoopDepGraph::build(*Base, *F, Cfg, Nest,
-                                             *Nest.loop(LI), Freq, Effects);
+        LoopDepGraph G = LoopDepGraph::build(*Base, *F, Cfg, *Nest.loop(LI),
+                                             Freq, Effects);
         DotOptions DOpts;
         DOpts.Name = F->name() + "_loop" + std::to_string(LI);
         writeDepGraphDot(outs(), *Base, G, DOpts);

@@ -189,7 +189,7 @@ unsigned forEachLoopGraph(const Module &M, unsigned MaxLoops,
       if (Profile)
         DG.DepProfile = Profile->Deps.profileFor(F, L.Id);
       LoopDepGraph G =
-          LoopDepGraph::build(M, *F, Cfg, Nest, L, Freq, Effects, DG);
+          LoopDepGraph::build(M, *F, Cfg, L, Freq, Effects, DG);
       if (G.violationCandidates().empty())
         continue;
       ++Visited;

@@ -36,8 +36,8 @@ struct Analyzed {
 
   LoopDepGraph depGraph(uint32_t LoopId = 0,
                         DepGraphOptions Opts = DepGraphOptions()) const {
-    return LoopDepGraph::build(*M, *F, Cfg, Nest, *Nest.loop(LoopId), Freq,
-                               Effects, Opts);
+    return LoopDepGraph::build(*M, *F, Cfg, *Nest.loop(LoopId), Freq, Effects,
+                               Opts);
   }
 };
 

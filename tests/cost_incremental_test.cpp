@@ -287,8 +287,8 @@ template <typename FnT> void forEachLoopGraph(const Module &M, FnT Fn) {
     CfgProbabilities Probs = CfgProbabilities::staticHeuristic(*F, Cfg, Nest);
     FreqInfo Freq = FreqInfo::compute(*F, Cfg, Nest, Probs);
     for (uint32_t LI = 0; LI != Nest.numLoops(); ++LI) {
-      LoopDepGraph G = LoopDepGraph::build(M, *F, Cfg, Nest, *Nest.loop(LI),
-                                           Freq, Effects);
+      LoopDepGraph G = LoopDepGraph::build(M, *F, Cfg, *Nest.loop(LI), Freq,
+                                           Effects);
       if (G.violationCandidates().empty())
         continue;
       Fn(G);

@@ -195,7 +195,7 @@ TEST(CostModelTest, RealLoopCostDropsWhenInductionMoved) {
   FreqInfo Freq = FreqInfo::compute(*F, Cfg, Nest, Probs);
   CallEffects Effects = CallEffects::compute(*M);
   LoopDepGraph G =
-      LoopDepGraph::build(*M, *F, Cfg, Nest, *Nest.loop(0), Freq, Effects);
+      LoopDepGraph::build(*M, *F, Cfg, *Nest.loop(0), Freq, Effects);
   MisspecCostModel Model(G);
 
   PartitionSet None(G.size(), 0);

@@ -331,11 +331,11 @@ TEST(MeasuredOracleTest, ErasesNeverObservedCrossDependences) {
     const Loop &L = *Nest.loop(LI);
     DepGraphOptions Static;
     LoopDepGraph GS =
-        LoopDepGraph::build(*CR.M, *F, Cfg, Nest, L, Freq, Effects, Static);
+        LoopDepGraph::build(*CR.M, *F, Cfg, L, Freq, Effects, Static);
     DepGraphOptions WithMeasured;
     WithMeasured.Oracle = Measured.get();
-    LoopDepGraph GM = LoopDepGraph::build(*CR.M, *F, Cfg, Nest, L, Freq,
-                                          Effects, WithMeasured);
+    LoopDepGraph GM = LoopDepGraph::build(*CR.M, *F, Cfg, L, Freq, Effects,
+                                          WithMeasured);
     // The static graph prices cross-iteration memory flow on the
     // self-indexed update; the measured one knows it never fires.
     double StaticCross = 0.0, MeasuredCross = 0.0;
@@ -401,12 +401,12 @@ TEST(DriverOracleTest, StaticOnlyMatchesEnsembleWithoutProfiles) {
   ASSERT_NE(Static, nullptr);
   for (uint32_t LI = 0; LI != Nest.numLoops(); ++LI) {
     const Loop &L = *Nest.loop(LI);
-    LoopDepGraph GE = LoopDepGraph::build(*CR.M, *F, Cfg, Nest, L, Freq,
-                                          Effects, DepGraphOptions());
+    LoopDepGraph GE = LoopDepGraph::build(*CR.M, *F, Cfg, L, Freq, Effects,
+                                          DepGraphOptions());
     DepGraphOptions SO;
     SO.Oracle = Static.get();
     LoopDepGraph GS =
-        LoopDepGraph::build(*CR.M, *F, Cfg, Nest, L, Freq, Effects, SO);
+        LoopDepGraph::build(*CR.M, *F, Cfg, L, Freq, Effects, SO);
     ASSERT_EQ(GE.edges().size(), GS.edges().size());
     for (size_t I = 0; I != GE.edges().size(); ++I) {
       const DepEdge &A = GE.edges()[I];

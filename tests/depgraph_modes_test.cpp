@@ -43,8 +43,8 @@ struct Ctx {
 
   LoopDepGraph graph(DepGraphOptions Opts = DepGraphOptions(),
                      uint32_t LoopIdx = 0) {
-    return LoopDepGraph::build(*M, *F, Cfg, Nest, *Nest.loop(LoopIdx), Freq,
-                               Effects, Opts);
+    return LoopDepGraph::build(*M, *F, Cfg, *Nest.loop(LoopIdx), Freq, Effects,
+                               Opts);
   }
 };
 

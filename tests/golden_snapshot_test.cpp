@@ -95,8 +95,8 @@ std::string dotSnapshot(const Module &M) {
     CfgProbabilities Probs = CfgProbabilities::staticHeuristic(*F, Cfg, Nest);
     FreqInfo Freq = FreqInfo::compute(*F, Cfg, Nest, Probs);
     for (uint32_t LI = 0; LI != Nest.numLoops(); ++LI) {
-      LoopDepGraph G = LoopDepGraph::build(M, *F, Cfg, Nest, *Nest.loop(LI),
-                                           Freq, Effects);
+      LoopDepGraph G = LoopDepGraph::build(M, *F, Cfg, *Nest.loop(LI), Freq,
+                                           Effects);
       DotOptions Opts;
       Opts.Name = F->name() + "_loop" + std::to_string(LI);
       Out += depGraphToDot(M, G, Opts);

@@ -57,7 +57,7 @@ std::map<int64_t, SptLoopDesc> sptPrepare(Module &M,
   FreqInfo Freq = FreqInfo::compute(*F, Cfg, Nest, Probs);
   CallEffects Effects = CallEffects::compute(M);
   LoopDepGraph G =
-      LoopDepGraph::build(M, *F, Cfg, Nest, *Outer, Freq, Effects);
+      LoopDepGraph::build(M, *F, Cfg, *Outer, Freq, Effects);
   MisspecCostModel Model(G);
   PartitionOptions POpts;
   POpts.PreForkSizeFraction = PreForkFraction;

@@ -159,8 +159,8 @@ unsigned checkModuleLoops(const Module &M, uint32_t Levels,
     FreqInfo Freq = FreqInfo::compute(*Fn, Cfg, Nest, Probs);
     for (uint32_t LI = 0; LI != Nest.numLoops() && Visited < MaxLoops;
          ++LI) {
-      LoopDepGraph G = LoopDepGraph::build(M, *Fn, Cfg, Nest,
-                                           *Nest.loop(LI), Freq, Effects);
+      LoopDepGraph G = LoopDepGraph::build(M, *Fn, Cfg, *Nest.loop(LI), Freq,
+                                           Effects);
       if (G.violationCandidates().empty())
         continue;
       expectKwayStrategiesAgree(G, PartitionOptions(), Levels);

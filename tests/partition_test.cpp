@@ -263,7 +263,7 @@ TEST(PartitionTest, RealLoopMovesInductionVariable) {
   ASSERT_NE(Outer, nullptr);
 
   LoopDepGraph G =
-      LoopDepGraph::build(*M, *F, Cfg, Nest, *Outer, Freq, Effects);
+      LoopDepGraph::build(*M, *F, Cfg, *Outer, Freq, Effects);
   MisspecCostModel Model(G);
   PartitionResult R = PartitionSearch(G, Model).run();
   ASSERT_TRUE(R.Searched);
@@ -355,8 +355,8 @@ TEST(PartitionEquivalenceTest, RealLoopsFromCompiledSource) {
   FreqInfo Freq = FreqInfo::compute(*F, Cfg, Nest, Probs);
   int Checked = 0;
   for (uint32_t LI = 0; LI != Nest.numLoops(); ++LI) {
-    LoopDepGraph G = LoopDepGraph::build(*M, *F, Cfg, Nest, *Nest.loop(LI),
-                                         Freq, Effects);
+    LoopDepGraph G = LoopDepGraph::build(*M, *F, Cfg, *Nest.loop(LI), Freq,
+                                         Effects);
     if (G.violationCandidates().empty())
       continue;
     expectStrategiesAgree(G, PartitionOptions());

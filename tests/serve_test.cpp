@@ -185,8 +185,8 @@ TEST(ServeCancelTest, PartitionSearchHonorsCancelMidSearch) {
   CallEffects Effects = CallEffects::compute(*M);
 
   for (uint32_t LI = 0; LI != Nest.numLoops(); ++LI) {
-    LoopDepGraph G = LoopDepGraph::build(*M, *F, Cfg, Nest, *Nest.loop(LI),
-                                         Freq, Effects);
+    LoopDepGraph G = LoopDepGraph::build(*M, *F, Cfg, *Nest.loop(LI), Freq,
+                                         Effects);
     if (G.violationCandidates().empty())
       continue;
     MisspecCostModel Model(G);

@@ -41,8 +41,8 @@ struct LoopCtx {
         Probs(CfgProbabilities::staticHeuristic(*F, Cfg, Nest)),
         Freq(FreqInfo::compute(*F, Cfg, Nest, Probs)),
         Effects(CallEffects::compute(*M)),
-        G(LoopDepGraph::build(*M, *F, Cfg, Nest, *Nest.loop(0), Freq,
-                              Effects, makeOpts(DepProf))) {}
+        G(LoopDepGraph::build(*M, *F, Cfg, *Nest.loop(0), Freq, Effects,
+                              makeOpts(DepProf))) {}
 
   static DepGraphOptions makeOpts(const LoopDepProfileData *DepProf) {
     DepGraphOptions O;
@@ -235,8 +235,8 @@ TEST(SvpTest, RewriteLowersMisspeculationCost) {
           CfgProbabilities::staticHeuristic(*F, Cfg, Nest);
       FreqInfo Freq = FreqInfo::compute(*F, Cfg, Nest, Probs);
       CallEffects Effects = CallEffects::compute(M);
-      LoopDepGraph G = LoopDepGraph::build(M, *F, Cfg, Nest, *Nest.loop(0),
-                                           Freq, Effects);
+      LoopDepGraph G = LoopDepGraph::build(M, *F, Cfg, *Nest.loop(0), Freq,
+                                           Effects);
       MisspecCostModel Model(G);
       PartitionSearch Search(G, Model);
       ProfilerOptions POpts;
@@ -267,7 +267,7 @@ TEST(SvpTest, RewriteLowersMisspeculationCost) {
       if (Nest.loop(I)->Depth == 1)
         L = Nest.loop(I);
     LoopDepGraph G =
-        LoopDepGraph::build(M, *F, Cfg, Nest, *L, Freq, Effects);
+        LoopDepGraph::build(M, *F, Cfg, *L, Freq, Effects);
     MisspecCostModel Model(G);
     return PartitionSearch(G, Model).run().Cost;
   };

@@ -45,7 +45,7 @@ struct Ctx {
         Probs(CfgProbabilities::staticHeuristic(*F, Cfg, Nest)),
         Freq(FreqInfo::compute(*F, Cfg, Nest, Probs)),
         Effects(CallEffects::compute(*M)),
-        G(LoopDepGraph::build(*M, *F, Cfg, Nest, *Nest.loop(LoopIdx), Freq,
+        G(LoopDepGraph::build(*M, *F, Cfg, *Nest.loop(LoopIdx), Freq,
                               Effects)) {}
 
   /// Stmt index of the first statement matching \p Pred.
@@ -414,8 +414,8 @@ TEST(TransformBailTest, FailureLeavesFunctionRunnable) {
         CfgProbabilities::staticHeuristic(*F2, Cfg2, Nest2);
     FreqInfo Freq2 = FreqInfo::compute(*F2, Cfg2, Nest2, Probs2);
     CallEffects Eff2 = CallEffects::compute(*M2);
-    LoopDepGraph G2 = LoopDepGraph::build(*M2, *F2, Cfg2, Nest2,
-                                          *Nest2.loop(0), Freq2, Eff2);
+    LoopDepGraph G2 = LoopDepGraph::build(*M2, *F2, Cfg2, *Nest2.loop(0), Freq2,
+                                          Eff2);
     // Random subset of statements as the "partition".
     PartitionSet P(G2.size(), 0);
     for (uint32_t SI = 0; SI != G2.size(); ++SI)

@@ -46,8 +46,8 @@ SptTransformResult transformLoop(Module &M, const std::string &Fn,
   auto Probs = CfgProbabilities::staticHeuristic(*F, Cfg, Nest);
   FreqInfo Freq = FreqInfo::compute(*F, Cfg, Nest, Probs);
   CallEffects Effects = CallEffects::compute(M);
-  LoopDepGraph G = LoopDepGraph::build(M, *F, Cfg, Nest, *Nest.loop(LoopIdx),
-                                       Freq, Effects);
+  LoopDepGraph G = LoopDepGraph::build(M, *F, Cfg, *Nest.loop(LoopIdx), Freq,
+                                       Effects);
   MisspecCostModel Model(G);
   PartitionOptions POpts;
   POpts.PreForkSizeFraction = PreForkFraction;
@@ -106,8 +106,8 @@ void checkEquivalence(const std::string &Src, const std::string &Fn,
     auto Probs = CfgProbabilities::staticHeuristic(*F, Cfg2, Nest2);
     FreqInfo Freq = FreqInfo::compute(*F, Cfg2, Nest2, Probs);
     CallEffects Effects = CallEffects::compute(*Transformed);
-    LoopDepGraph G = LoopDepGraph::build(*Transformed, *F, Cfg2, Nest2,
-                                         *Candidate, Freq, Effects);
+    LoopDepGraph G = LoopDepGraph::build(*Transformed, *F, Cfg2, *Candidate,
+                                         Freq, Effects);
     MisspecCostModel Model(G);
     PartitionOptions POpts;
     POpts.PreForkSizeFraction = PreForkFraction;
