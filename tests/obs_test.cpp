@@ -412,6 +412,28 @@ TEST(PipelineObsTest, ReportCarriesStatsOnlyWhenEnabled) {
   EXPECT_EQ(On.Stats.SpanCounts.at("pass2"), 1u);
 }
 
+TEST(PipelineObsTest, GraphCountersDeterministic) {
+  auto counters = [](const SptCompilerOptions &Base) {
+    auto M = compileWorkload(allWorkloads()[0]);
+    const CompilationReport R = compileSpt(*M, Base.withTracing());
+    auto count = [&](const char *Name) {
+      auto It = R.Stats.Counters.find(Name);
+      return It == R.Stats.Counters.end() ? uint64_t(0) : It->second;
+    };
+    EXPECT_EQ(R.Stats.SpanCounts.at("driver.function_weights"), 2u);
+    return std::make_pair(count("driver.depgraph.builds"),
+                          count("driver.value_watch.stmts"));
+  };
+  // Basic mode runs no SVP, so stage B watches nothing.
+  const auto Basic = counters(SptCompilerOptions::basic());
+  EXPECT_GT(Basic.first, 0u);
+  EXPECT_EQ(Basic.second, 0u);
+  const auto Best = counters(SptCompilerOptions::best());
+  EXPECT_GT(Best.first, 0u);
+  EXPECT_GT(Best.second, 0u);
+  EXPECT_EQ(counters(SptCompilerOptions::best()), Best);
+}
+
 TEST(PipelineObsTest, SimFastPathCountersFlushedAndPinned) {
   // The batched violation-closure count is flushed once per run, like the
   // speculation counters, and must agree exactly with the per-run
