@@ -110,10 +110,13 @@ fi
 # Release (-O3) build guard: the tree builds with -Werror, and GCC raises
 # some warnings (e.g. a -Wrestrict false positive) only at -O3, which no
 # tested preset uses. The golden digests pin every simulator and profiler
-# result and the reports of 200 generated programs, so they also catch an
-# -O3-only divergence of the inlined sinks or the planner; the cost-model
-# and partition tests hold the shipped planner bit-identical to its
-# references in src/testing at the optimization level perfbench times.
+# result, the reports of 200 generated programs and every loop dependence
+# graph of the workloads and those programs, so they also catch an
+# -O3-only divergence of the inlined sinks, the graph builder or the
+# planner; the value-watch test holds stage B's graph-free watch set equal
+# to the built graphs' violation candidates, and the cost-model and
+# partition tests hold the shipped planner bit-identical to its
+# references in src/testing, at the optimization level perfbench times.
 if [[ " ${PRESETS[*]} " != *" release "* ]]; then
   echo "== [release] configure + build"
   cmake --preset release
@@ -122,6 +125,8 @@ if [[ " ${PRESETS[*]} " != *" release "* ]]; then
   ./build-release/tests/sim_golden_test
   ./build-release/tests/profile_golden_test
   ./build-release/tests/report_golden_test
+  ./build-release/tests/depgraph_golden_test
+  ./build-release/tests/depgraph_watch_test
   ./build-release/tests/cost_incremental_test
   ./build-release/tests/partition_test
   ./build-release/tests/partition_kway_test
