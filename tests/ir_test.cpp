@@ -133,6 +133,191 @@ TEST(IrTest, VerifierCatchesBadCallArity) {
   EXPECT_NE(Err.find("args"), std::string::npos);
 }
 
+namespace {
+
+/// One verifier message: \c Break damages a valid function (see
+/// verifyBroken) and returns the function to verify; \c Want is the whole
+/// message, or "" when the damage must still verify clean.
+struct VerifierCase {
+  const char *Name;
+  const Function &(*Break)(Module &M, Function &G);
+  const char *Want;
+};
+
+/// Builds  h(int, int) -> int  and  v() -> void  (declarations only,
+/// indices 0 and 1), one array, and  g() -> int  at index 2:
+///   entry: #0 r0 = iconst 1; #1 r1 = add r0, r0; #2 ret r1
+/// with statement ids 0, 1, 2. Applies \p C's damage and verifies.
+std::string verifyBroken(const VerifierCase &C) {
+  Module M;
+  M.addArray("a", Type::Int, 4);
+  Function *H = M.addFunction("h", Type::Int, 2);
+  H->ParamTypes = {Type::Int, Type::Int};
+  M.addFunction("v", Type::Void, 0);
+  Function *G = M.addFunction("g", Type::Int, 0);
+  IRBuilder B(G);
+  B.setInsertBlock(B.makeBlock("entry"));
+  const Reg R0 = B.constInt(1);
+  B.ret(B.add(R0, R0));
+  EXPECT_EQ(verifyFunction(M, *G), "") << C.Name;
+  return verifyFunction(M, C.Break(M, *G));
+}
+
+std::vector<Instr> &entryInstrs(Function &G) { return G.block(0)->Instrs; }
+
+/// Turns instruction #1 of g into a call to function \p Callee with the
+/// given operands, keeping its destination register.
+void makeCall(Function &G, int64_t Callee, std::vector<Reg> Srcs) {
+  Instr &I = entryInstrs(G)[1];
+  I.Op = Opcode::Call;
+  I.IntImm = Callee;
+  I.Srcs = std::move(Srcs);
+}
+
+const VerifierCase VerifierCases[] = {
+    {"NoBlocks",
+     [](Module &M, Function &) -> const Function & {
+       return *M.addFunction("e", Type::Void, 0);
+     },
+     "function 'e': function has no blocks"},
+    {"EmptyBlock",
+     [](Module &, Function &G) -> const Function & {
+       G.addBlock("tail");
+       return G;
+     },
+     "function 'g': block 'tail' is empty"},
+    {"MissingTerminator",
+     [](Module &, Function &G) -> const Function & {
+       entryInstrs(G).pop_back();
+       return G;
+     },
+     "function 'g': block 'entry' lacks a terminator"},
+    {"SuccessorCount",
+     [](Module &, Function &G) -> const Function & {
+       G.block(0)->Succs.push_back(0);
+       return G;
+     },
+     "function 'g': block 'entry' successor count mismatch"},
+    {"SuccessorOutOfRange",
+     [](Module &, Function &G) -> const Function & {
+       Instr &T = entryInstrs(G).back();
+       T.Op = Opcode::Jmp;
+       T.Srcs.clear();
+       G.block(0)->Succs.push_back(7);
+       return G;
+     },
+     "function 'g': block 'entry' has out-of-range successor"},
+    {"MissingStatementId",
+     [](Module &, Function &G) -> const Function & {
+       entryInstrs(G)[1].Id = NoStmt;
+       return G;
+     },
+     "function 'g': instruction without statement id"},
+    {"DuplicateStatementId",
+     [](Module &, Function &G) -> const Function & {
+       entryInstrs(G)[2].Id = entryInstrs(G)[1].Id;
+       return G;
+     },
+     "function 'g': duplicate statement id 1"},
+    {"DuplicateStatementIdPastMax",
+     [](Module &, Function &G) -> const Function & {
+       entryInstrs(G)[1].Id = G.maxStmtId() + 5;
+       entryInstrs(G)[2].Id = G.maxStmtId() + 5;
+       return G;
+     },
+     "function 'g': duplicate statement id 8"},
+    {"TerminatorNotLast",
+     [](Module &, Function &G) -> const Function & {
+       Instr Early = entryInstrs(G).back();
+       Early.Id = G.newStmtId();
+       entryInstrs(G).insert(entryInstrs(G).begin(), Early);
+       return G;
+     },
+     "function 'g': block 'entry' instr #0 (ret): terminator is not last "
+     "in block"},
+    {"OperandCount",
+     [](Module &, Function &G) -> const Function & {
+       entryInstrs(G)[1].Srcs.pop_back();
+       return G;
+     },
+     "function 'g': block 'entry' instr #1 (add): expected 2 operands, got "
+     "1"},
+    {"RetOperands",
+     [](Module &, Function &G) -> const Function & {
+       entryInstrs(G)[2].Srcs.push_back(0);
+       return G;
+     },
+     "function 'g': block 'entry' instr #2 (ret): ret takes at most one "
+     "operand"},
+    {"SourceRegister",
+     [](Module &, Function &G) -> const Function & {
+       entryInstrs(G)[1].Srcs[1] = 99;
+       return G;
+     },
+     "function 'g': block 'entry' instr #1 (add): source register out of "
+     "range"},
+    {"DefiningNonValueOpcode",
+     [](Module &, Function &G) -> const Function & {
+       entryInstrs(G)[2].Dst = 0;
+       return G;
+     },
+     "function 'g': block 'entry' instr #2 (ret): opcode cannot define a "
+     "register"},
+    {"DestinationRegister",
+     [](Module &, Function &G) -> const Function & {
+       entryInstrs(G)[0].Dst = 99;
+       return G;
+     },
+     "function 'g': block 'entry' instr #0 (iconst): destination register "
+     "out of range"},
+    {"ArrayId",
+     [](Module &, Function &G) -> const Function & {
+       Instr &I = entryInstrs(G)[1];
+       I.Op = Opcode::Load;
+       I.Srcs = {0};
+       I.IntImm = 1;
+       return G;
+     },
+     "function 'g': block 'entry' instr #1 (load): array id out of range"},
+    {"CalleeIndex",
+     [](Module &, Function &G) -> const Function & {
+       makeCall(G, 9, {});
+       return G;
+     },
+     "function 'g': block 'entry' instr #1 (call): callee index out of "
+     "range"},
+    {"CallArity",
+     [](Module &, Function &G) -> const Function & {
+       makeCall(G, 0, {0});
+       return G;
+     },
+     "function 'g': block 'entry' instr #1 (call): call to 'h' expects 2 "
+     "args, got 1"},
+    {"VoidCallDefines",
+     [](Module &, Function &G) -> const Function & {
+       makeCall(G, 1, {});
+       return G;
+     },
+     "function 'g': block 'entry' instr #1 (call): void call must not "
+     "define a register"},
+    {"StatementIdAtMaxIsClean",
+     [](Module &, Function &G) -> const Function & {
+       entryInstrs(G)[1].Id = G.maxStmtId();
+       entryInstrs(G)[2].Id = G.maxStmtId() + 1000;
+       return G;
+     },
+     ""},
+};
+
+} // namespace
+
+// Every verifier message, compared whole: callers (the compiler's
+// post-transform check, the fuzz oracles) print them verbatim.
+TEST(IrTest, VerifierMessagesPinned) {
+  for (const VerifierCase &C : VerifierCases)
+    EXPECT_EQ(verifyBroken(C), C.Want) << C.Name;
+}
+
 TEST(IrTest, ModuleLookupHelpers) {
   Module M;
   const uint32_t A = M.addArray("data", Type::Int, 16);
