@@ -8,8 +8,9 @@
 
 #include "ir/IR.h"
 
-#include <set>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 using namespace spt;
 
@@ -41,46 +42,49 @@ private:
 
 void VerifyContext::checkInstr(const BasicBlock &BB, size_t Idx,
                                const Instr &I) {
-  const std::string Where = "block '" + BB.label() + "' instr #" +
-                            std::to_string(Idx) + " (" + opcodeName(I.Op) +
-                            ")";
+  // The location prefix is formatted only once a check fails, so a valid
+  // instruction verifies without allocating.
+  const auto Fail = [&](const std::string &What) {
+    fail("block '" + BB.label() + "' instr #" + std::to_string(Idx) + " (" +
+         opcodeName(I.Op) + "): " + What);
+  };
 
   if (isTerminator(I.Op) && Idx + 1 != BB.Instrs.size())
-    return fail(Where + ": terminator is not last in block");
+    return Fail("terminator is not last in block");
 
   const int Expected = expectedNumSrcs(I.Op);
   if (Expected >= 0 && I.Srcs.size() != static_cast<size_t>(Expected))
-    return fail(Where + ": expected " + std::to_string(Expected) +
-                " operands, got " + std::to_string(I.Srcs.size()));
+    return Fail("expected " + std::to_string(Expected) + " operands, got " +
+                std::to_string(I.Srcs.size()));
   if (I.Op == Opcode::Ret && I.Srcs.size() > 1)
-    return fail(Where + ": ret takes at most one operand");
+    return Fail("ret takes at most one operand");
 
   for (Reg R : I.Srcs)
     if (R >= F.numRegs())
-      return fail(Where + ": source register out of range");
+      return Fail("source register out of range");
 
   if (I.Dst != NoReg) {
     if (!producesValue(I.Op))
-      return fail(Where + ": opcode cannot define a register");
+      return Fail("opcode cannot define a register");
     if (I.Dst >= F.numRegs())
-      return fail(Where + ": destination register out of range");
+      return Fail("destination register out of range");
   }
 
   if (I.Op == Opcode::Load || I.Op == Opcode::Store) {
     if (I.IntImm < 0 || static_cast<size_t>(I.IntImm) >= M.numArrays())
-      return fail(Where + ": array id out of range");
+      return Fail("array id out of range");
   }
 
   if (I.Op == Opcode::Call) {
     if (I.IntImm < 0 || static_cast<size_t>(I.IntImm) >= M.numFunctions())
-      return fail(Where + ": callee index out of range");
+      return Fail("callee index out of range");
     const Function *Callee = M.function(I.calleeIndex());
     if (I.Srcs.size() != Callee->numParams())
-      return fail(Where + ": call to '" + Callee->name() + "' expects " +
+      return Fail("call to '" + Callee->name() + "' expects " +
                   std::to_string(Callee->numParams()) + " args, got " +
                   std::to_string(I.Srcs.size()));
     if (Callee->returnType() == Type::Void && I.Dst != NoReg)
-      return fail(Where + ": void call must not define a register");
+      return Fail("void call must not define a register");
   }
 }
 
@@ -94,7 +98,10 @@ std::string spt::verifyFunction(const Module &M, const Function &F) {
     return Ctx.message();
   }
 
-  std::set<StmtId> SeenIds;
+  // Seen statement ids, indexed by id. Ids come from newStmtId, so every
+  // id of a well-formed function is below maxStmtId(); a larger one grows
+  // the table.
+  std::vector<uint8_t> SeenIds(F.maxStmtId(), 0);
   for (const auto &BB : F) {
     if (BB->Instrs.empty()) {
       Ctx.fail("block '" + BB->label() + "' is empty");
@@ -125,10 +132,13 @@ std::string spt::verifyFunction(const Module &M, const Function &F) {
         Ctx.fail("instruction without statement id");
         break;
       }
-      if (!SeenIds.insert(I.Id).second) {
+      if (I.Id >= SeenIds.size())
+        SeenIds.resize(static_cast<size_t>(I.Id) + 1, 0);
+      if (SeenIds[I.Id]) {
         Ctx.fail("duplicate statement id " + std::to_string(I.Id));
         break;
       }
+      SeenIds[I.Id] = 1;
       Ctx.checkInstr(*BB, Idx, I);
       if (Ctx.failed())
         break;
