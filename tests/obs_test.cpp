@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
 using namespace spt;
@@ -421,6 +422,10 @@ TEST(PipelineObsTest, GraphCountersDeterministic) {
       return It == R.Stats.Counters.end() ? uint64_t(0) : It->second;
     };
     EXPECT_EQ(R.Stats.SpanCounts.at("driver.function_weights"), 2u);
+    // The value watch runs once per compile that watches values.
+    auto Watch = R.Stats.SpanCounts.find("driver.value_watch");
+    EXPECT_EQ(Watch == R.Stats.SpanCounts.end() ? uint64_t(0) : Watch->second,
+              Base.Mode == CompilationMode::Basic ? 0u : 1u);
     return std::make_pair(count("driver.depgraph.builds"),
                           count("driver.value_watch.stmts"));
   };
@@ -432,6 +437,105 @@ TEST(PipelineObsTest, GraphCountersDeterministic) {
   EXPECT_GT(Best.first, 0u);
   EXPECT_GT(Best.second, 0u);
   EXPECT_EQ(counters(SptCompilerOptions::best()), Best);
+}
+
+/// Graph builds and plan reuses of one compile of \p Src.
+struct PlanCounts {
+  uint64_t Builds = 0;
+  uint64_t Reused = 0;
+  CompilationReport Report;
+};
+
+PlanCounts planCounts(const char *Src, const SptCompilerOptions &Opts) {
+  auto M = compileOrDie(Src);
+  PlanCounts Out;
+  Out.Report = compileSpt(*M, Opts.withTracing());
+  const auto &C = Out.Report.Stats.Counters;
+  auto count = [&](const char *Name) {
+    auto It = C.find(Name);
+    return It == C.end() ? uint64_t(0) : It->second;
+  };
+  Out.Builds = count("driver.depgraph.builds");
+  Out.Reused = count("driver.plans.reused");
+  return Out;
+}
+
+/// Two heavy sibling loops in main, each selected on its own.
+const char *TwoLoopSrc =
+    "fp a[2048]; fp b[2048]; int out[4];\n"
+    "int main() {\n"
+    "  int i; fp s; fp t;\n"
+    "  for (i = 0; i < 2048; i = i + 1) {\n"
+    "    fp v;\n"
+    "    v = itof(i % 97) * 3.0 + 1.0;\n"
+    "    v = v / 7.0 + sqrt(v) * 1.25;\n"
+    "    v = v * v + sqrt(v + 2.0);\n"
+    "    a[i] = v;\n"
+    "    s = s + v;\n"
+    "  }\n"
+    "  for (i = 0; i < 2048; i = i + 1) {\n"
+    "    fp w;\n"
+    "    w = itof(i % 89) * 2.0 + 0.5;\n"
+    "    w = w / 3.0 + sqrt(w) * 1.5;\n"
+    "    w = w * w + sqrt(w + 1.0);\n"
+    "    b[i] = w;\n"
+    "    t = t + w;\n"
+    "  }\n"
+    "  out[0] = ftoi(s + t);\n"
+    "  return out[0];\n"
+    "}\n";
+
+TEST(PipelineObsTest, PassTwoReusesThePlanOfEachFunctionsFirstTransform) {
+  // Pass 1 builds both loops' plans. Pass 2 transforms the first loop with
+  // its plan; the transform rewrites main, so the second loop's plan is
+  // rebuilt.
+  const PlanCounts C = planCounts(TwoLoopSrc, SptCompilerOptions::basic());
+  ASSERT_EQ(C.Report.numSelected(), 2u)
+      << renderReportDeterministic(C.Report);
+  EXPECT_EQ(C.Builds, 3u);
+  EXPECT_EQ(C.Reused, 1u);
+}
+
+TEST(PipelineObsTest, SvpReprofileLeavesOnlyPassTwoReuse) {
+  // DriverTest.SvpEnablesLoopWithPredictableRecurrence's program: SVP
+  // rewrites main and re-profiles, so pass 1 takes none of stage C's
+  // plans, and pass 2 takes one per function with a transformed loop.
+  const char *Src =
+      "int out[4096];\n"
+      "int main() {\n"
+      "  int x; int s; int i; int r;\n"
+      "  for (r = 0; r < 4; r = r + 1) {\n"
+      "    x = 1;\n"
+      "    for (i = 0; i < 1024; i = i + 1) {\n"
+      "      fp t;\n"
+      "      t = sqrt(itof(x)) + sqrt(itof(x + i)) + sqrt(itof(x * 3));\n"
+      "      x = x + 4 + ftoi(t) * 0;\n"
+      "      out[i] = x + ftoi(t);\n"
+      "      s = s + x;\n"
+      "    }\n"
+      "  }\n"
+      "  return s;\n"
+      "}\n";
+  const PlanCounts C = planCounts(Src, SptCompilerOptions::best());
+  bool Svp = false;
+  std::set<std::string> Transformed;
+  for (const LoopRecord &Rec : C.Report.Loops) {
+    Svp |= Rec.SvpApplied;
+    if (Rec.Selected)
+      Transformed.insert(Rec.FuncName);
+  }
+  ASSERT_TRUE(Svp);
+  ASSERT_FALSE(Transformed.empty());
+  EXPECT_EQ(C.Reused, Transformed.size());
+  EXPECT_GT(C.Builds, C.Reused);
+}
+
+TEST(PipelineObsTest, PlanCountersDeterministic) {
+  const PlanCounts A = planCounts(TwoLoopSrc, SptCompilerOptions::best());
+  const PlanCounts B = planCounts(TwoLoopSrc, SptCompilerOptions::best());
+  EXPECT_GT(A.Reused, 0u);
+  EXPECT_EQ(A.Builds, B.Builds);
+  EXPECT_EQ(A.Reused, B.Reused);
 }
 
 TEST(PipelineObsTest, SimFastPathCountersFlushedAndPinned) {
