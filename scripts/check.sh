@@ -117,6 +117,10 @@ fi
 # to the built graphs' violation candidates, and the cost-model and
 # partition tests hold the shipped planner bit-identical to its
 # references in src/testing, at the optimization level perfbench times.
+# The IR test pins every verifier message, whose formatting the verifier
+# defers until a check fails, and the observability test pins the
+# driver's graph builds, plan reuses and value-watch span, which count
+# what the compile's analysis and plan caches reuse.
 if [[ " ${PRESETS[*]} " != *" release "* ]]; then
   echo "== [release] configure + build"
   cmake --preset release
@@ -130,6 +134,8 @@ if [[ " ${PRESETS[*]} " != *" release "* ]]; then
   ./build-release/tests/cost_incremental_test
   ./build-release/tests/partition_test
   ./build-release/tests/partition_kway_test
+  ./build-release/tests/ir_test
+  ./build-release/tests/obs_test
 fi
 
 # The end-to-end benchmark is a standalone CMake project that builds
