@@ -7,8 +7,9 @@
 // Times the interpreter's decoded engine against its single-step
 // reference:
 //
-//   ref      a loop of Interpreter::step(), the tree-walking switch that
-//            builds and returns one StepResult per instruction,
+//   ref      a loop of referenceStep (testing/ReferenceInterp.h), the
+//            tree-walking switch that builds and returns one StepResult
+//            per instruction,
 //   decoded  the pre-decoded flat stream with threaded dispatch and
 //            superinstruction fusion, run record-free through run().
 //
@@ -16,7 +17,7 @@
 // both ways with full record streams and compared — chained
 // hashStepResult over every record (the decoded side through runBatch,
 // testing/StepSink.h), plus output, return value and memoryHash — and the
-// aggregate decoded throughput must be at least 2x the step() loop's, or
+// aggregate decoded throughput must be at least 2x the reference loop's, or
 // the binary fails loudly: a perf regression in the hot loop is a build
 // failure, not a trend-line footnote.
 //
@@ -31,6 +32,7 @@
 #include "bench/BenchCommon.h"
 
 #include "spt.h"
+#include "testing/ReferenceInterp.h"
 #include "testing/StepSink.h"
 
 #include <chrono>
@@ -156,8 +158,8 @@ struct Observed {
   uint64_t MemHash = 0;
 };
 
-/// Runs \p F through the decoded engine, or through a step() loop when
-/// \p Stepped.
+/// Runs \p F through the decoded engine, or through a referenceStep loop
+/// when \p Stepped.
 Observed observeRun(const Module &M, const Function *F,
                     const std::vector<Value> &Args, bool Stepped) {
   Observed O;
@@ -165,7 +167,7 @@ Observed observeRun(const Module &M, const Function *F,
   In.startCall(F, Args);
   if (Stepped) {
     while (!In.done()) {
-      O.StreamHash = hashStepResult(O.StreamHash, In.step());
+      O.StreamHash = hashStepResult(O.StreamHash, referenceStep(In));
       ++O.Records;
     }
   } else {
@@ -192,7 +194,7 @@ RowResult runKernel(const Kernel &K, bool Quick, int Repeat) {
 
   Row.FusedOps = M->decodeCache().imageFor(F)->NumFused;
 
-  // Record-free timing: run() builds no StepResults; step() always
+  // Record-free timing: run() builds no StepResults; referenceStep always
   // materializes one per instruction, which is exactly the per-step cost
   // the decode pass exists to delete.
   uint64_t NodesRef = 0, NodesDec = 0;
@@ -201,7 +203,7 @@ RowResult runKernel(const Kernel &K, bool Quick, int Repeat) {
     In.startCall(F, Args);
     NodesRef = 0;
     for (; !In.done(); ++NodesRef)
-      In.step();
+      referenceStep(In);
   });
   Row.SecDec = timeBest(Repeat, [&] {
     Interpreter In(*M);
@@ -246,9 +248,9 @@ int main(int Argc, char **Argv) {
 
   outs() << "==============================================================\n";
   outs() << " perf_interp: interpreter throughput (nodes = retired instrs)\n";
-  outs() << " ref = step() loop (tree-walking switch); decoded = pre-decoded\n";
-  outs() << " stream, threaded dispatch + fusion; repeat = " << Repeat
-         << "\n";
+  outs() << " ref = referenceStep loop (tree-walking switch); decoded =\n";
+  outs() << " pre-decoded stream, threaded dispatch + fusion; repeat = "
+         << Repeat << "\n";
   outs() << "==============================================================\n";
 
   std::vector<RowResult> Rows;
@@ -286,11 +288,11 @@ int main(int Argc, char **Argv) {
          << (AllIdentical ? "byte-identical" : "DIVERGED") << "\n";
 
   // The gate: byte-identity is non-negotiable, and the decode pass must
-  // still pay its rent — at least 2x the step() loop in aggregate.
+  // still pay its rent — at least 2x the reference loop in aggregate.
   const bool FastEnough = Speedup >= 2.0;
   if (!FastEnough)
     errs() << "FAIL: decoded engine only " << fmt2(Speedup)
-           << "x the step() loop (gate: >= 2x)\n";
+           << "x the reference loop (gate: >= 2x)\n";
 
   std::string Block = "{\n    \"rows\": [\n";
   for (size_t I = 0; I != Rows.size(); ++I) {

@@ -30,6 +30,7 @@
 #include "support/Random.h"
 #include "testing/Mutator.h"
 #include "testing/ProfileDump.h"
+#include "testing/ReferenceInterp.h"
 #include "testing/ReferencePlanner.h"
 #include "testing/ReferenceProfiler.h"
 #include "testing/ReferenceSptSim.h"
@@ -313,12 +314,12 @@ OracleResult oracleInterp(const Prepared &P, const OracleOptions &Opts) {
   return R;
 }
 
-/// Differential between the interpreter's decoded engine and step(): the
-/// decoded (threaded-dispatch, superinstruction-fused) engine must produce
-/// the exact StepResult record stream, output, return value and final
-/// memory image of a step() loop — on the baseline module and on every
-/// transformed mode (the SPT transform changes which instruction pairs
-/// fuse).
+/// Differential between the interpreter's decoded engine and referenceStep
+/// (testing/ReferenceInterp.h): the decoded (threaded-dispatch,
+/// superinstruction-fused) engine must produce the exact StepResult record
+/// stream, output, return value and final memory image of a reference loop
+/// — on the baseline module and on every transformed mode (the SPT
+/// transform changes which instruction pairs fuse).
 OracleResult oracleInterpDecodeDiff(const Prepared &P,
                                     const OracleOptions &Opts) {
   OracleResult R{"interp-decode-diff", OracleStatus::Pass, ""};
@@ -350,7 +351,7 @@ OracleResult oracleInterpDecodeDiff(const Prepared &P,
     uint64_t RefHash = 0xcbf29ce484222325ull;
     uint64_t RefRecords = 0;
     while (!Ref.done() && RefRecords < Opts.MaxSteps) {
-      RefHash = hashStepResult(RefHash, Ref.step());
+      RefHash = hashStepResult(RefHash, referenceStep(Ref));
       ++RefRecords;
     }
 
@@ -359,7 +360,8 @@ OracleResult oracleInterpDecodeDiff(const Prepared &P,
     if (DecRecords != RefRecords) {
       R.Status = OracleStatus::Fail;
       R.Detail = "decoded engine retired " + std::to_string(DecRecords) +
-                 " records, step() " + std::to_string(RefRecords) + Tag;
+                 " records, the reference " + std::to_string(RefRecords) +
+                 Tag;
       return R;
     }
     if (DecHash != RefHash) {
@@ -894,8 +896,8 @@ const OracleEntry kOracles[] = {
                 "baseline checksum, output and memory image"},
      oracleInterp},
     {{"interp-decode-diff",
-      "the decoded (threaded, fused) interpreter engine produces a step() "
-      "loop's exact record stream, output and memory image"},
+      "the decoded (threaded, fused) interpreter engine produces the "
+      "reference stepper's exact record stream, output and memory image"},
      oracleInterpDecodeDiff},
     {{"seqsim", "sequential simulation matches plain interpretation"},
      oracleSeqSim},

@@ -22,9 +22,9 @@
 ///                   the baseline checksum and output, per mode.
 ///   interp-decode-diff
 ///                   the interpreter's decoded (threaded-dispatch,
-///                   superinstruction-fused) engine emits a step() loop's
-///                   exact StepResult stream, output and memory image, on
-///                   the base and transformed modules.
+///                   superinstruction-fused) engine emits the reference
+///                   stepper's exact StepResult stream, output and memory
+///                   image, on the base and transformed modules.
 ///   seqsim          the sequential simulator computes the same result,
 ///                   output and final memory image as plain
 ///                   interpretation.

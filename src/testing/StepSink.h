@@ -27,10 +27,11 @@
 namespace spt {
 
 /// Synchronous consumer of StepResult records for runBatch. onStep is
-/// invoked after each IR instruction retires, at the exact point step()
-/// would have returned, so a sink may inspect interpreter state
-/// (stackDepth, topFrame, memory) and sees what a step() driver saw.
-/// Returning false stops the run after the current record.
+/// invoked after each IR instruction retires, at the exact point
+/// referenceStep (testing/ReferenceInterp.h) would have returned, so a
+/// sink may inspect interpreter state (stackDepth, topFrame, memory) and
+/// sees what a reference driver saw. Returning false stops the run after
+/// the current record.
 class StepSink {
 public:
   virtual ~StepSink();
@@ -53,9 +54,9 @@ template <class Fn> LambdaSink<Fn> makeStepSink(Fn F) {
 }
 
 /// Interpreter::runWith through a virtual sink: delivers every StepResult
-/// to \p Sink, exactly the records a step() loop would have produced, in
-/// the same order. Stops when the sink returns false, \p In is done(), or
-/// \p MaxSteps; returns the number of instructions executed.
+/// to \p Sink, exactly the records a referenceStep loop would have
+/// produced, in the same order. Stops when the sink returns false, \p In
+/// is done(), or \p MaxSteps; returns the number of instructions executed.
 uint64_t runBatch(Interpreter &In, StepSink &Sink, uint64_t MaxSteps = ~0ull);
 
 } // namespace spt

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "interp/DecodeEngine.h"
 #include "interp/Interp.h"
 #include "lang/Frontend.h"
 
@@ -160,25 +161,29 @@ TEST(InterpTest, StepReportsLoadsStoresBranches) {
                         "int f() { a[1] = 3; return a[1]; }");
   Interpreter In(*M);
   In.startCall(M->findFunction("f"), {});
-  bool SawLoad = false, SawStore = false, SawRet = false;
-  uint64_t StoreAddr = 0, LoadAddr = 0;
-  while (!In.done()) {
-    StepResult R = In.step();
-    if (R.IsStore) {
-      SawStore = true;
-      StoreAddr = R.Addr;
+  struct RecordSink {
+    bool SawLoad = false, SawStore = false, SawRet = false;
+    uint64_t StoreAddr = 0, LoadAddr = 0;
+    bool onStep(const StepResult &R) {
+      if (R.IsStore) {
+        SawStore = true;
+        StoreAddr = R.Addr;
+      }
+      if (R.IsLoad) {
+        SawLoad = true;
+        LoadAddr = R.Addr;
+      }
+      if (R.IsReturn)
+        SawRet = true;
+      return true;
     }
-    if (R.IsLoad) {
-      SawLoad = true;
-      LoadAddr = R.Addr;
-    }
-    if (R.IsReturn)
-      SawRet = true;
-  }
-  EXPECT_TRUE(SawLoad);
-  EXPECT_TRUE(SawStore);
-  EXPECT_TRUE(SawRet);
-  EXPECT_EQ(StoreAddr, LoadAddr);
+  } S;
+  In.runWith(S);
+  ASSERT_TRUE(In.done());
+  EXPECT_TRUE(S.SawLoad);
+  EXPECT_TRUE(S.SawStore);
+  EXPECT_TRUE(S.SawRet);
+  EXPECT_EQ(S.StoreAddr, S.LoadAddr);
   EXPECT_EQ(In.returnValue().I, 3);
 }
 

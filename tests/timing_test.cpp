@@ -15,6 +15,7 @@
 #include "analysis/Cfg.h"
 #include "analysis/Freq.h"
 #include "analysis/LoopInfo.h"
+#include "interp/DecodeEngine.h"
 #include "interp/Interp.h"
 #include "lang/Frontend.h"
 #include "sim/CoreTiming.h"
@@ -28,6 +29,17 @@ using namespace spt;
 
 namespace {
 
+/// Feeds every retired instruction to the timing model with the stack depth
+/// after it, as runSequential's sink does.
+struct TimingSink {
+  CoreTiming &Core;
+  const Interpreter &In;
+  bool onStep(const StepResult &R) {
+    Core.onStep(R, In.stackDepth());
+    return true;
+  }
+};
+
 /// Runs \p Src's f(arg) through the timing model and returns cycles.
 double timedCycles(const std::string &Src, int64_t Arg,
                    MachineConfig Machine = MachineConfig()) {
@@ -37,10 +49,8 @@ double timedCycles(const std::string &Src, int64_t Arg,
   CacheHierarchy Cache(Machine);
   BranchPredictor Pred;
   CoreTiming Core(Machine, Cache, Pred);
-  while (!In.done()) {
-    StepResult R = In.step();
-    Core.onStep(R, In.stackDepth());
-  }
+  TimingSink S{Core, In};
+  In.runWith(S);
   return Core.cyclesNow();
 }
 
@@ -62,11 +72,9 @@ TEST(CoreTimingTest, BandwidthBound) {
   CacheHierarchy Cache(Machine);
   BranchPredictor Pred;
   CoreTiming Core(Machine, Cache, Pred);
-  uint64_t Steps = 0;
-  while (!In.done()) {
-    Core.onStep(In.step(), In.stackDepth());
-    ++Steps;
-  }
+  TimingSink S{Core, In};
+  const uint64_t Steps = In.runWith(S);
+  ASSERT_TRUE(In.done());
   const double Ipc = static_cast<double>(Steps) / Core.cyclesNow();
   EXPECT_LE(Ipc, Machine.IssueWidth + 1e-9);
   EXPECT_GT(Ipc, Machine.IssueWidth * 0.7);
