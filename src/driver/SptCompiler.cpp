@@ -742,7 +742,10 @@ void Compilation::stageSvp() {
     if (std::string Err = verifyModule(M); !Err.empty())
       spt_fatal("SVP broke the module");
     // Re-profile: the recovery branches' frequencies (the misprediction
-    // rates) and the shifted dependence structure must be measured.
+    // rates) and the shifted dependence structure must be measured. Its
+    // own span bills it to the profiler, so stageC.svp's self time is
+    // SVP's alone.
+    ObsSpan S(Obs, "profile.reprofile");
     ProfilerOptions POpts;
     POpts.CollectEdges = true;
     POpts.CollectDeps = wantDepProfiles();

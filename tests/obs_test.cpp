@@ -426,6 +426,10 @@ TEST(PipelineObsTest, GraphCountersDeterministic) {
     auto Watch = R.Stats.SpanCounts.find("driver.value_watch");
     EXPECT_EQ(Watch == R.Stats.SpanCounts.end() ? uint64_t(0) : Watch->second,
               Base.Mode == CompilationMode::Basic ? 0u : 1u);
+    // Basic runs no SVP, so stage C never re-profiles.
+    if (Base.Mode == CompilationMode::Basic) {
+      EXPECT_EQ(R.Stats.SpanCounts.count("profile.reprofile"), 0u);
+    }
     return std::make_pair(count("driver.depgraph.builds"),
                           count("driver.value_watch.stmts"));
   };
@@ -528,6 +532,8 @@ TEST(PipelineObsTest, SvpReprofileLeavesOnlyPassTwoReuse) {
   ASSERT_FALSE(Transformed.empty());
   EXPECT_EQ(C.Reused, Transformed.size());
   EXPECT_GT(C.Builds, C.Reused);
+  // The re-profile runs once, in its own span.
+  EXPECT_EQ(C.Report.Stats.SpanCounts.at("profile.reprofile"), 1u);
 }
 
 TEST(PipelineObsTest, PlanCountersDeterministic) {
