@@ -329,22 +329,26 @@ TypedReg Lowering::lowerCondExpr(const Expr &E) {
   B->br(C.R, ThenBB, ElseBB);
 
   // Lower the then-value first to learn the result type; the else value is
-  // converted to match (or both are widened to fp).
+  // converted to match (or both are widened to fp). A value with its own
+  // control flow (a nested conditional, && or ||) ends in a later block
+  // than it began in; each copy goes where its value ends.
   B->setInsertBlock(ThenBB);
   TypedReg TV = lowerExpr(*E.Rhs);
+  BasicBlock *ThenEnd = B->insertBlock();
   B->setInsertBlock(ElseBB);
   TypedReg FV = lowerExpr(*E.Aux);
+  BasicBlock *ElseEnd = B->insertBlock();
 
   Type ResTy =
       (TV.Ty == Type::Fp || FV.Ty == Type::Fp) ? Type::Fp : Type::Int;
   Reg Result = CurFunc->newReg();
 
-  B->setInsertBlock(ThenBB);
+  B->setInsertBlock(ThenEnd);
   TypedReg TVC = convertTo(TV, ResTy, E.Loc);
   B->copyTo(Result, ResTy, TVC.R);
   B->jmp(Done);
 
-  B->setInsertBlock(ElseBB);
+  B->setInsertBlock(ElseEnd);
   TypedReg FVC = convertTo(FV, ResTy, E.Loc);
   B->copyTo(Result, ResTy, FVC.R);
   B->jmp(Done);

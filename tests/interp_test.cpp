@@ -113,6 +113,26 @@ TEST(InterpTest, TernarySelectsLazily) {
   EXPECT_EQ(runInt(Src, "f", {0}), 71);
 }
 
+TEST(InterpTest, ControlFlowInsideTernaryBranches) {
+  // Each branch value may open blocks of its own (a nested conditional,
+  // && or ||); its copy to the result must land where the value ends.
+  const char *Src =
+      "int f(int a, int b) { return a ? (b ? 1 : 2) : (b ? 3 : 4); }\n"
+      "int g(int a, int b) { return a ? (a && b) : (a || b) + 5; }\n"
+      "fp h(int a) { return a ? 1 : (a ? 2.5 : 0.5); }\n";
+  EXPECT_EQ(runInt(Src, "f", {1, 1}), 1);
+  EXPECT_EQ(runInt(Src, "f", {1, 0}), 2);
+  EXPECT_EQ(runInt(Src, "f", {0, 1}), 3);
+  EXPECT_EQ(runInt(Src, "f", {0, 0}), 4);
+  EXPECT_EQ(runInt(Src, "g", {1, 0}), 0);
+  EXPECT_EQ(runInt(Src, "g", {1, 7}), 1);
+  EXPECT_EQ(runInt(Src, "g", {0, 7}), 6);
+  EXPECT_EQ(runInt(Src, "g", {0, 0}), 5);
+  auto M = compileOrDie(Src);
+  EXPECT_DOUBLE_EQ(runFunction(*M, "h", {Value::ofInt(0)}).Result.F, 0.5);
+  EXPECT_DOUBLE_EQ(runFunction(*M, "h", {Value::ofInt(1)}).Result.F, 1.0);
+}
+
 TEST(InterpTest, ArraysAndMemory) {
   EXPECT_EQ(runInt("int a[10];\n"
                    "int f() { int i;"
