@@ -7,7 +7,8 @@
 #include "lang/AstPrinter.h"
 
 #include <cassert>
-#include <cinttypes>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -69,44 +70,118 @@ const char *typeToken(Type Ty) {
   return "int";
 }
 
-std::string indentOf(unsigned Indent) {
-  return std::string(2 * static_cast<size_t>(Indent), ' ');
+void appendIndent(std::string &Out, unsigned Indent) {
+  Out.append(2 * static_cast<size_t>(Indent), ' ');
+}
+
+template <typename Int> void appendInt(std::string &Out, Int V) {
+  char Buf[24];
+  const std::to_chars_result R = std::to_chars(Buf, Buf + sizeof(Buf), V);
+  Out.append(Buf, R.ptr);
 }
 
 /// Floating literal with round-trip precision; guarantees the spelling
 /// lexes as an FpLiteral (a '.' or exponent is always present).
-std::string fpLitSpelling(double V) {
+void appendFpLit(std::string &Out, double V) {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+  Out += Buf;
   if (!std::strpbrk(Buf, ".eE"))
-    std::strcat(Buf, ".0");
-  return Buf;
+    Out += ".0";
+}
+
+void printExpr(const Expr &E, std::string &Out) {
+  switch (E.Kind) {
+  case ExprKind::IntLit:
+    if (E.IntValue >= 0) {
+      appendInt(Out, E.IntValue);
+      return;
+    }
+    // The parser only produces non-negative literals; mutations can go
+    // negative. INT64_MIN has no printable negation, so clamp it.
+    Out += "(0 - ";
+    appendInt(Out, E.IntValue == INT64_MIN ? INT64_MAX : -E.IntValue);
+    Out += ')';
+    return;
+  case ExprKind::FpLit:
+    if (E.FpValue < 0.0) {
+      Out += "(0.0 - ";
+      appendFpLit(Out, -E.FpValue);
+      Out += ')';
+      return;
+    }
+    appendFpLit(Out, E.FpValue);
+    return;
+  case ExprKind::Var:
+    Out += E.Name;
+    return;
+  case ExprKind::Index:
+    Out += E.Name;
+    Out += '[';
+    printExpr(*E.Lhs, Out);
+    Out += ']';
+    return;
+  case ExprKind::Unary:
+    Out += E.UOp == UnOp::Neg      ? "(- "
+           : E.UOp == UnOp::LogNot ? "(!"
+                                   : "(~";
+    printExpr(*E.Lhs, Out);
+    Out += ')';
+    return;
+  case ExprKind::Binary:
+    Out += '(';
+    printExpr(*E.Lhs, Out);
+    Out += ' ';
+    Out += binOpToken(E.BOp);
+    Out += ' ';
+    printExpr(*E.Rhs, Out);
+    Out += ')';
+    return;
+  case ExprKind::Cond:
+    Out += '(';
+    printExpr(*E.Lhs, Out);
+    Out += " ? ";
+    printExpr(*E.Rhs, Out);
+    Out += " : ";
+    printExpr(*E.Aux, Out);
+    Out += ')';
+    return;
+  case ExprKind::Call:
+    Out += E.Name;
+    Out += '(';
+    for (size_t I = 0; I != E.Args.size(); ++I) {
+      if (I)
+        Out += ", ";
+      printExpr(*E.Args[I], Out);
+    }
+    Out += ')';
+    return;
+  }
+  Out += '0';
 }
 
 void printStmt(const Stmt &S, unsigned Indent, std::string &Out);
 
-/// A for-header clause: a Decl prints with its ';' (mirroring the
-/// parser, which consumes it inside parseDecl), a simple statement
-/// prints bare.
-std::string forInitSource(const Stmt &S) {
-  if (S.Kind == StmtKind::Decl) {
-    std::string Out;
-    printStmt(S, 0, Out);
-    if (!Out.empty() && Out.back() == '\n')
-      Out.pop_back();
-    return Out;
+/// "type name = value;" without indentation or newline.
+void printDecl(const Stmt &S, std::string &Out) {
+  Out += typeToken(S.DeclTy);
+  Out += ' ';
+  Out += S.Name;
+  if (S.Value) {
+    Out += " = ";
+    printExpr(*S.Value, Out);
   }
-  assert(S.Kind == StmtKind::Assign || S.Kind == StmtKind::ExprEval);
-  if (S.Kind == StmtKind::Assign)
-    return exprToSource(*S.Target) + " = " + exprToSource(*S.Value) + ";";
-  return exprToSource(*S.Value) + ";";
+  Out += ';';
 }
 
-std::string forStepSource(const Stmt &S) {
-  if (S.Kind == StmtKind::Assign)
-    return exprToSource(*S.Target) + " = " + exprToSource(*S.Value);
-  assert(S.Kind == StmtKind::ExprEval);
-  return exprToSource(*S.Value);
+/// "target = value" or a bare call, without ';'.
+void printSimple(const Stmt &S, std::string &Out) {
+  assert(S.Kind == StmtKind::Assign || S.Kind == StmtKind::ExprEval);
+  if (S.Kind == StmtKind::Assign) {
+    printExpr(*S.Target, Out);
+    Out += " = ";
+  }
+  printExpr(*S.Value, Out);
 }
 
 /// Bodies of if/else and loops always print as braced blocks: canonical,
@@ -122,78 +197,90 @@ void printBody(const Stmt *Body, unsigned Indent, std::string &Out) {
       printStmt(*Body, Indent + 1, Out);
     }
   }
-  Out += indentOf(Indent);
-  Out += "}";
+  appendIndent(Out, Indent);
+  Out += '}';
 }
 
 void printStmt(const Stmt &S, unsigned Indent, std::string &Out) {
-  const std::string Ind = indentOf(Indent);
+  appendIndent(Out, Indent);
   switch (S.Kind) {
   case StmtKind::Block:
-    Out += Ind + "{\n";
+    Out += "{\n";
     for (const StmtPtr &Child : S.Body)
       if (Child)
         printStmt(*Child, Indent + 1, Out);
-    Out += Ind + "}\n";
+    appendIndent(Out, Indent);
+    Out += "}\n";
     return;
   case StmtKind::Decl:
-    Out += Ind + typeToken(S.DeclTy) + std::string(" ") + S.Name;
-    if (S.Value)
-      Out += " = " + exprToSource(*S.Value);
-    Out += ";\n";
+    printDecl(S, Out);
+    Out += '\n';
     return;
   case StmtKind::Assign:
-    Out += Ind + exprToSource(*S.Target) + " = " + exprToSource(*S.Value) +
-           ";\n";
-    return;
   case StmtKind::ExprEval:
-    Out += Ind + exprToSource(*S.Value) + ";\n";
+    printSimple(S, Out);
+    Out += ";\n";
     return;
   case StmtKind::If:
-    Out += Ind + "if (" + exprToSource(*S.Value) + ")";
+    Out += "if (";
+    printExpr(*S.Value, Out);
+    Out += ')';
     printBody(S.Then.get(), Indent, Out);
     if (S.Else) {
       Out += " else";
       printBody(S.Else.get(), Indent, Out);
     }
-    Out += "\n";
+    Out += '\n';
     return;
   case StmtKind::While:
-    Out += Ind + "while (" + exprToSource(*S.Value) + ")";
+    Out += "while (";
+    printExpr(*S.Value, Out);
+    Out += ')';
     printBody(S.Then.get(), Indent, Out);
-    Out += "\n";
+    Out += '\n';
     return;
   case StmtKind::DoWhile:
-    Out += Ind + "do";
+    Out += "do";
     printBody(S.Then.get(), Indent, Out);
-    Out += " while (" + exprToSource(*S.Value) + ");\n";
+    Out += " while (";
+    printExpr(*S.Value, Out);
+    Out += ");\n";
     return;
   case StmtKind::For:
-    Out += Ind + "for (";
-    Out += S.Init ? forInitSource(*S.Init) : ";";
-    Out += " ";
+    // A for-header Decl prints with its ';' (mirroring the parser, which
+    // consumes it inside parseDecl), a simple statement gets one here.
+    Out += "for (";
+    if (!S.Init) {
+      Out += ';';
+    } else if (S.Init->Kind == StmtKind::Decl) {
+      printDecl(*S.Init, Out);
+    } else {
+      printSimple(*S.Init, Out);
+      Out += ';';
+    }
+    Out += ' ';
     if (S.Value)
-      Out += exprToSource(*S.Value);
+      printExpr(*S.Value, Out);
     Out += "; ";
     if (S.Step)
-      Out += forStepSource(*S.Step);
-    Out += ")";
+      printSimple(*S.Step, Out);
+    Out += ')';
     printBody(S.Then.get(), Indent, Out);
-    Out += "\n";
+    Out += '\n';
     return;
   case StmtKind::Return:
-    Out += Ind + "return";
+    Out += "return";
     if (S.Value) {
-      Out += " ";
-      Out += exprToSource(*S.Value);
+      Out += ' ';
+      printExpr(*S.Value, Out);
     }
     Out += ";\n";
     return;
   case StmtKind::Break:
-    Out += Ind + "break;\n";
+    Out += "break;\n";
     return;
   case StmtKind::Continue:
-    Out += Ind + "continue;\n";
+    Out += "continue;\n";
     return;
   }
 }
@@ -201,76 +288,9 @@ void printStmt(const Stmt &S, unsigned Indent, std::string &Out) {
 } // namespace
 
 std::string spt::exprToSource(const Expr &E) {
-  switch (E.Kind) {
-  case ExprKind::IntLit: {
-    if (E.IntValue >= 0)
-      return std::to_string(E.IntValue);
-    // The parser only produces non-negative literals; mutations can go
-    // negative. INT64_MIN has no printable negation, so clamp it.
-    const int64_t V =
-        E.IntValue == INT64_MIN ? INT64_MIN + 1 : E.IntValue;
-    // Built by append: `const char * + std::string&&` trips GCC 12's
-    // bogus -Wrestrict at -O3 (GCC PR105651).
-    std::string Out = "(0 - ";
-    Out += std::to_string(-V);
-    Out += ")";
-    return Out;
-  }
-  case ExprKind::FpLit:
-    if (E.FpValue < 0.0) {
-      std::string Out = "(0.0 - ";
-      Out += fpLitSpelling(-E.FpValue);
-      Out += ")";
-      return Out;
-    }
-    return fpLitSpelling(E.FpValue);
-  case ExprKind::Var:
-    return E.Name;
-  case ExprKind::Index:
-    return E.Name + "[" + exprToSource(*E.Lhs) + "]";
-  case ExprKind::Unary: {
-    const char *Tok = E.UOp == UnOp::Neg     ? "- "
-                      : E.UOp == UnOp::LogNot ? "!"
-                                              : "~";
-    // Built by append: `const char * + std::string&&` trips GCC 12's
-    // bogus -Wrestrict at -O3 (GCC PR105651).
-    std::string Out = "(";
-    Out += Tok;
-    Out += exprToSource(*E.Lhs);
-    Out += ")";
-    return Out;
-  }
-  case ExprKind::Binary: {
-    std::string Out = "(";
-    Out += exprToSource(*E.Lhs);
-    Out += " ";
-    Out += binOpToken(E.BOp);
-    Out += " ";
-    Out += exprToSource(*E.Rhs);
-    Out += ")";
-    return Out;
-  }
-  case ExprKind::Cond: {
-    std::string Out = "(";
-    Out += exprToSource(*E.Lhs);
-    Out += " ? ";
-    Out += exprToSource(*E.Rhs);
-    Out += " : ";
-    Out += exprToSource(*E.Aux);
-    Out += ")";
-    return Out;
-  }
-  case ExprKind::Call: {
-    std::string Out = E.Name + "(";
-    for (size_t I = 0; I != E.Args.size(); ++I) {
-      if (I)
-        Out += ", ";
-      Out += exprToSource(*E.Args[I]);
-    }
-    return Out + ")";
-  }
-  }
-  return "0";
+  std::string Out;
+  printExpr(E, Out);
+  return Out;
 }
 
 std::string spt::stmtToSource(const Stmt &S, unsigned Indent) {
@@ -281,20 +301,29 @@ std::string spt::stmtToSource(const Stmt &S, unsigned Indent) {
 
 std::string spt::programToSource(const ProgramAst &Program) {
   std::string Out;
-  for (const ArrayAst &A : Program.Arrays)
-    Out += std::string(typeToken(A.ElemTy)) + " " + A.Name + "[" +
-           std::to_string(A.Size) + "];\n";
+  for (const ArrayAst &A : Program.Arrays) {
+    Out += typeToken(A.ElemTy);
+    Out += ' ';
+    Out += A.Name;
+    Out += '[';
+    appendInt(Out, A.Size);
+    Out += "];\n";
+  }
   if (!Program.Arrays.empty())
-    Out += "\n";
+    Out += '\n';
   for (const std::unique_ptr<FuncAst> &F : Program.Funcs) {
-    Out += std::string(typeToken(F->RetTy)) + " " + F->Name + "(";
+    Out += typeToken(F->RetTy);
+    Out += ' ';
+    Out += F->Name;
+    Out += '(';
     for (size_t I = 0; I != F->Params.size(); ++I) {
       if (I)
         Out += ", ";
-      Out += std::string(typeToken(F->Params[I].Ty)) + " " +
-             F->Params[I].Name;
+      Out += typeToken(F->Params[I].Ty);
+      Out += ' ';
+      Out += F->Params[I].Name;
     }
-    Out += ")";
+    Out += ')';
     printBody(F->Body.get(), 0, Out);
     Out += "\n\n";
   }

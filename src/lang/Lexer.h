@@ -19,7 +19,10 @@
 
 namespace spt {
 
-/// Produces a token stream from SPTc source text.
+/// Produces a token stream from SPTc source text. The lexer scans its own
+/// copy of the source with a cursor; a NUL byte, embedded or the
+/// terminator, ends the input. Positions are offsets into that copy, so a
+/// moved Lexer stays valid.
 class Lexer {
 public:
   explicit Lexer(std::string Source);
@@ -27,23 +30,18 @@ public:
   /// Lexes and returns the next token. After Eof, keeps returning Eof.
   Token next();
 
-private:
-  char peek(size_t Ahead = 0) const;
-  char advance();
-  bool match(char Expected);
-  void skipWhitespaceAndComments();
+  /// Lexes the next token into \p T, reusing its text buffer.
+  void next(Token &T);
 
-  Token makeToken(TokKind Kind);
-  Token makeError(const std::string &Msg);
-  Token lexNumber();
-  Token lexIdentifier();
+private:
+  void skipWhitespaceAndComments();
+  void lexNumber(Token &T);
+  void lexIdentifier(Token &T);
 
   std::string Source;
-  size_t Pos = 0;
+  size_t Pos = 0;       // Offset of the next unread byte.
+  size_t LineStart = 0; // Offset of the first byte of the current line.
   unsigned Line = 1;
-  unsigned Col = 1;
-  unsigned TokLine = 1;
-  unsigned TokCol = 1;
 };
 
 } // namespace spt

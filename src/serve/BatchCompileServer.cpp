@@ -125,7 +125,9 @@ std::string ServeBatchReport::renderSummary() const {
 }
 
 BatchCompileServer::BatchCompileServer(const ServeOptions &Opts)
-    : Opts(Opts), Cache(Opts.CacheCapacity),
+    : Opts(Opts),
+      OptionsFingerprint(compilerOptionsFingerprint(Opts.Compiler)),
+      Cache(Opts.CacheCapacity),
       Queues(std::max(1u, Opts.Workers)) {
   this->Opts.Workers = std::max(1u, Opts.Workers);
 }
@@ -329,7 +331,7 @@ ServeOutcome BatchCompileServer::compileRequest(const ServeRequest &R) {
 
   // 3. Cache probe, under the requested options only.
   const uint64_t CacheKey =
-      CompileCache::key(Out.ContentHash, compilerOptionsFingerprint(Opts.Compiler));
+      CompileCache::key(Out.ContentHash, OptionsFingerprint);
   if (Opts.CacheCapacity != 0 && Cache.lookup(CacheKey, Out.Report)) {
     Out.State = ServeState::Completed;
     Out.CacheHit = true;

@@ -203,6 +203,9 @@ private:
   bool chaosFaults(uint64_t ContentHash, uint32_t Attempt) const;
 
   ServeOptions Opts;
+  /// compilerOptionsFingerprint(Opts.Compiler): the options are fixed for
+  /// the server's lifetime, so every request's cache key shares it.
+  uint64_t OptionsFingerprint;
   CompileCache Cache;
 
   std::mutex Mu;

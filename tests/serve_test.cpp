@@ -14,6 +14,8 @@
 
 #include "serve/BatchCompileServer.h"
 
+#include "NestingPrograms.h"
+
 #include "analysis/CallEffects.h"
 #include "analysis/Cfg.h"
 #include "analysis/DepGraph.h"
@@ -282,6 +284,46 @@ TEST(ServeLadderTest, ParseFailureSkipsWithoutBurningRungs) {
   EXPECT_EQ(R.Outcomes[0].Attempts, 0u);
   EXPECT_NE(R.Outcomes[0].Error.message().find("frontend"),
             std::string::npos);
+}
+
+TEST(ServeLadderTest, HostileNestingSkipsInTheFrontEnd) {
+  // Each of these used to overflow a worker's stack in the parser, the
+  // reprint or the AST teardown and take the whole process down.
+  using nesting_programs::repeat;
+  const size_t N = 100000;
+  const std::vector<ServeRequest> Batch = {
+      {1, "parens",
+       "int main() { return " + repeat("(", N) + "1" + repeat(")", N) +
+           "; }"},
+      {2, "unary", "int main() { return " + repeat("- ", N) + "1; }"},
+      {3, "chain", "int main() { return 1" + repeat("+1", N) + "; }"},
+      {4, "blocks",
+       "int main() { " + repeat("{", N) + repeat("}", N) + " return 0; }"},
+  };
+  ServeBatchReport R = serveBatch(baseOptions(), Batch);
+  ASSERT_EQ(R.Outcomes.size(), Batch.size());
+  for (const ServeOutcome &O : R.Outcomes) {
+    EXPECT_EQ(O.State, ServeState::Skipped) << O.Name;
+    EXPECT_EQ(O.Attempts, 0u) << O.Name;
+    EXPECT_EQ(O.Error.message().rfind("frontend: ", 0), 0u)
+        << O.Name << ": " << O.Error.message();
+    EXPECT_NE(O.Error.message().find("nested"), std::string::npos)
+        << O.Name << ": " << O.Error.message();
+  }
+}
+
+TEST(ServeLadderTest, ProgramsAtTheNestingLimitsCompile) {
+  std::vector<ServeRequest> Batch;
+  for (const nesting_programs::NamedProgram &NP :
+       nesting_programs::nestingPrograms(0))
+    Batch.push_back({Batch.size() + 1, NP.Name, NP.Source});
+  ServeBatchReport R = serveBatch(baseOptions(), Batch);
+  ASSERT_EQ(R.Outcomes.size(), Batch.size());
+  for (const ServeOutcome &O : R.Outcomes) {
+    EXPECT_EQ(O.State, ServeState::Completed)
+        << O.Name << ": " << O.Error.message();
+    EXPECT_FALSE(O.Report.empty()) << O.Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//
