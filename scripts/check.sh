@@ -124,7 +124,10 @@ fi
 # what the compile's analysis and plan caches reuse. The interpreter tests
 # hold the decoded engine to its reference at every step budget and sink
 # stop, and the timing tests its record stream through the timing model:
-# -O3 inlines the engine's handlers and exits hardest.
+# -O3 inlines the engine's handlers and exits hardest. The canonical
+# golden pins the request front end's reprint and diagnostics, and the
+# language tests its lexer edge cases and nesting limits: the cursor
+# lexer's bounds and the parser's lookahead ring are what -O3 reorders.
 if [[ " ${PRESETS[*]} " != *" release "* ]]; then
   echo "== [release] configure + build"
   cmake --preset release
@@ -143,6 +146,8 @@ if [[ " ${PRESETS[*]} " != *" release "* ]]; then
   ./build-release/tests/interp_decode_test
   ./build-release/tests/interp_test
   ./build-release/tests/timing_test
+  ./build-release/tests/canonical_golden_test
+  ./build-release/tests/lang_test
 fi
 
 # The end-to-end benchmark is a standalone CMake project that builds
