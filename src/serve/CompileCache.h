@@ -28,9 +28,17 @@
 ///
 /// Eviction: plain LRU (touch on hit) with a fixed capacity.
 ///
-/// Thread-safety: all public methods lock one mutex; the payloads are
-/// small strings and the server's workers spend their time compiling,
-/// not hashing, so a single lock does not serialize the fleet.
+/// Thread-safety: all public methods lock one mutex, and lookup()
+/// verifies the checksum and copies the payload while holding it. On
+/// warm traffic that is a real share of a request: over perfbench's
+/// serve_warm programs a report averages 2.2 KB, and a lookup (fnv1a over
+/// the payload, then the copy) takes about 3.4 us of a 58 us
+/// single-worker cache hit, most of the rest being the request's
+/// canonicalization. At 4 workers a hit finishes every 18 us or so, so
+/// the lock is held about a fifth of the time. Verifying outside the lock
+/// gave 3.5-8% more cached requests per second in four alternating
+/// serve_warm pairs on a 4-core host; the single lock is kept for now, so
+/// that detecting a corrupt entry and erasing it stay one atomic step.
 ///
 //===----------------------------------------------------------------------===//
 
