@@ -8,9 +8,11 @@
 // of perfbench's serve_cold batches (generator seeds 1..200; MinLoops 2,
 // MaxLoops 3, MaxStmtsPerBody 5, MaxTrip 100; a 2,000,000-step profiling
 // budget). Each seed is compiled in basic, best and anticipated mode for
-// a two-core machine, and the fnv1a of each renderReportDeterministic is
-// compared with tests/goldens/reports.golden. To refresh after an
-// intentional change to what the compiler decides:
+// a two-core machine, and once more in best mode fed the measured
+// dependence-profile artifact of the same program (best_artifact_c2,
+// measured under the same step budget). The fnv1a of each
+// renderReportDeterministic is compared with tests/goldens/reports.golden.
+// To refresh after an intentional change to what the compiler decides:
 //
 //   UPDATE_GOLDENS=1 ./build/tests/report_golden_test
 //
@@ -21,6 +23,7 @@
 #include "driver/SptCompiler.h"
 #include "lang/Frontend.h"
 #include "lang/ProgramGenerator.h"
+#include "profile/DepProfiler.h"
 #include "support/Hash.h"
 
 #include <gtest/gtest.h>
@@ -46,6 +49,9 @@ std::string hex16(uint64_t V) {
   std::snprintf(Buf, sizeof(Buf), "%016" PRIx64, V);
   return Buf;
 }
+
+/// The profiling step budget of every compile and artifact.
+constexpr uint64_t ProfileSteps = 2000000;
 
 /// Golden lines keyed by "<program> <run>".
 using GoldenMap = std::map<std::string, std::string>;
@@ -81,10 +87,24 @@ GoldenMap digestsFor(uint64_t Seed) {
                                CompilationMode::Anticipated}) {
     auto M = compileOrDie(Source);
     SptCompilerOptions Opts = SptCompilerOptions().withMode(Mode).withCores(2);
-    Opts.ProfileMaxSteps = 2000000;
+    Opts.ProfileMaxSteps = ProfileSteps;
     const CompilationReport Report = compileSpt(*M, Opts);
     Out[std::string(Name) + " " + compilationModeName(Mode) + "_c2"] =
         hex16(fnv1a(renderReportDeterministic(Report)));
+  }
+
+  auto M = compileOrDie(Source);
+  DepProfilerOptions DPO;
+  DPO.MaxSteps = ProfileSteps;
+  StatusOr<DepProfileArtifact> A = profileDependenceArtifact(*M, DPO);
+  EXPECT_TRUE(A.isOk()) << Name << ": " << A.message();
+  if (A.isOk()) {
+    SptCompilerOptions Opts =
+        SptCompilerOptions::best().withCores(2).withProfileArtifact(
+            std::make_shared<const DepProfileArtifact>(A.value()));
+    Opts.ProfileMaxSteps = ProfileSteps;
+    Out[std::string(Name) + " best_artifact_c2"] =
+        hex16(fnv1a(renderReportDeterministic(compileSpt(*M, Opts))));
   }
   return Out;
 }
