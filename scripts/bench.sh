@@ -85,14 +85,15 @@ grep -q '"reports_identical": true, "any_speedup_monotone_2_to_4": true' \
   exit 1
 }
 
-# Measured dependence-oracle quality: for every workload bench/perf_oracle
-# profiles a dependence artifact, compiles three ways (static-only oracle,
-# in-run default, measured artifact) and simulates each against the
-# sequential baseline. The binary exits nonzero itself when the
-# measurements change no chosen partition vs static-only, the artifact
-# regresses any workload vs the in-run default, or any simulation's
-# architectural results diverge; the summary gates are double-checked
-# here (docs/profiling.md explains the three configs).
+# Measured dependence profiles: for every workload bench/perf_oracle
+# profiles a dependence artifact, compiles three ways (Best without
+# dependence profiles, the in-run default, the measured artifact) and
+# simulates each against the sequential baseline. The binary exits
+# nonzero itself when the measurements change no chosen partition vs the
+# no-dependence-profile compile, the artifact regresses any workload vs
+# the in-run default, or any simulation's architectural results diverge;
+# the summary gates are double-checked here (docs/profiling.md explains
+# the three configs).
 echo "== perf_oracle ${QUICK_ARGS[*]:-} --out=$OUT_PATH"
 ./build-release/bench/perf_oracle "${QUICK_ARGS[@]:+${QUICK_ARGS[@]}}" \
   "--out=$OUT_PATH"

@@ -94,6 +94,14 @@ if [[ " ${PRESETS[*]} " == *" default "* ]]; then
   echo "== [default] perf_compile --quick"
   ./build/bench/perf_compile --quick --out=build/BENCH_compile_quick.json
 
+  # Measured dependence-profile smoke (about 10 s): perf_oracle exits
+  # nonzero when compiling with a workload's artifact simulates slower
+  # than profiling in-run on any workload, when the measurements change
+  # no workload's partitioning, or when any simulation's architectural
+  # results diverge from the sequential run.
+  echo "== [default] perf_oracle --quick"
+  ./build/bench/perf_oracle --quick --out=build/BENCH_oracle_quick.json
+
   # Trace-enabled smoke: compile the workload suite (gzip et al.) with
   # observability on, then validate both artifacts — the Chrome trace
   # must parse and nest, the stats dump must be well-formed JSON and

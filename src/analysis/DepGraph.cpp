@@ -13,14 +13,12 @@
 //
 // Memory dependences pair writers and readers of an alias class (array, or
 // the synthetic RNG/IO classes via call summaries). Probabilities come from
-// the dependence profile when present, else from frequency ratios with
-// type-based aliasing.
+// a measured artifact or the in-run dependence profile when present, else
+// from frequency ratios with type-based aliasing (EdgePricer).
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/DepGraph.h"
-
-#include "analysis/oracle/DepOracle.h"
 
 #include "support/Debug.h"
 
@@ -308,53 +306,73 @@ struct ClassAccesses {
   }
 };
 
-/// Every probability annotation on an edge is sourced from the oracle (the
-/// default ensemble reproduces the historical flowProb/memProb formulas
-/// byte for byte). A query no member answers models "no dependence worth
-/// pricing".
-class OracleProbe {
+double clamp01(double X) { return X < 0.0 ? 0.0 : (X > 1.0 ? 1.0 : X); }
+
+/// Executions of statement \p S recorded in \p P.
+uint64_t execCount(const LoopDepProfileData &P, StmtId S) {
+  auto It = P.StmtExec.find(S);
+  return It == P.StmtExec.end() ? 0 : It->second;
+}
+
+/// How often \p R read the value \p W wrote, in the same iteration or
+/// (\p Cross) the previous one, per execution of W (\p WExec times). A
+/// pair the profile never saw conflict is an answer of zero, which is what
+/// lets a profile erase conservative may-alias edges.
+double observedRate(const LoopDepProfileData &P, uint64_t WExec, StmtId W,
+                    StmtId R, bool Cross) {
+  if (WExec == 0)
+    return 0.0;
+  auto It = P.Pairs.find({W, R});
+  if (It == P.Pairs.end())
+    return 0.0;
+  const uint64_t Hits = Cross ? It->second.Cross : It->second.Intra;
+  return clamp01(static_cast<double>(Hits) / static_cast<double>(WExec));
+}
+
+/// The edge probabilities of one loop, in the order DepGraphOptions
+/// documents.
+class EdgePricer {
 public:
-  OracleProbe(const Function &F, const Loop &L,
-              const std::vector<LoopStmt> &Stmts, const DepGraphOptions &Opts)
-      : F(F), L(L), Stmts(Stmts), Profile(Opts.DepProfile),
-        Orc(Opts.Oracle ? *Opts.Oracle : defaultDepOracle()),
+  EdgePricer(const std::vector<LoopStmt> &Stmts, const DepGraphOptions &Opts)
+      : Stmts(Stmts), Measured(Opts.Measured), InRun(Opts.DepProfile),
         CallEffectsInCost(Opts.ModelCallEffectsInCost) {}
 
-  double operator()(uint32_t SrcSI, uint32_t DstSI, DepChannel Channel,
-                    bool Cross) const {
-    DepQuery Q;
-    Q.F = &F;
-    Q.L = &L;
-    Q.Channel = Channel;
-    Q.Src = Stmts[SrcSI].Id;
-    Q.Dst = Stmts[DstSI].Id;
-    Q.Cross = Cross;
-    Q.SrcIterFreq = Stmts[SrcSI].IterFreq;
-    Q.DstIterFreq = Stmts[DstSI].IterFreq;
-    Q.Profile = Profile;
-    if (std::optional<DepEstimate> E = Orc.dependence(Q))
-      return E->Prob;
-    return 0.0;
+  /// The frequency-ratio heuristic: if the source runs FS times per
+  /// iteration and the sink FD times, one source execution feeds a sink
+  /// execution with probability min(1, FD/FS). A dead source feeds
+  /// nothing.
+  double heuristic(uint32_t SrcSI, uint32_t DstSI) const {
+    const double FS = Stmts[SrcSI].IterFreq;
+    if (FS <= 1e-12)
+      return 0.0;
+    return clamp01(Stmts[DstSI].IterFreq / FS);
   }
 
   /// Memory-flow probability from writer \p WSI to reader \p RSI.
   double mem(uint32_t WSI, uint32_t RSI, bool Cross) const {
     // Calls excluded from cost estimation when configured (the paper's
     // "globals modified by callees unknown to the caller" blind spot).
-    // This is a structural exclusion, not a probability estimate, so it
-    // stays in front of the oracle.
     if (!CallEffectsInCost && (Stmts[WSI].I->Op == Opcode::Call ||
                                Stmts[RSI].I->Op == Opcode::Call))
       return 0.0;
-    return (*this)(WSI, RSI, DepChannel::Memory, Cross);
+    const StmtId W = Stmts[WSI].Id, R = Stmts[RSI].Id;
+    // A measured zero is only evidence if the profiling run watched both
+    // statements execute; statements it has no record of (clones minted
+    // after the measurement) fall through.
+    if (Measured) {
+      const uint64_t WExec = execCount(*Measured, W);
+      if (WExec != 0 && execCount(*Measured, R) != 0)
+        return observedRate(*Measured, WExec, W, R, Cross);
+    }
+    if (InRun)
+      return observedRate(*InRun, execCount(*InRun, W), W, R, Cross);
+    return heuristic(WSI, RSI);
   }
 
 private:
-  const Function &F;
-  const Loop &L;
   const std::vector<LoopStmt> &Stmts;
-  const LoopDepProfileData *Profile;
-  const DepOracle &Orc;
+  const LoopDepProfileData *Measured;
+  const LoopDepProfileData *InRun;
   bool CallEffectsInCost;
 };
 
@@ -521,7 +539,7 @@ LoopDepGraph LoopDepGraph::build(const Module &M, const Function &F,
     }
   }
 
-  OracleProbe Prob(F, L, G.Stmts, Opts);
+  const EdgePricer Prob(G.Stmts, Opts);
 
   //===--------------------------------------------------------------------===
   // Register flow: resolve uses against both reaching sets.
@@ -540,12 +558,10 @@ LoopDepGraph LoopDepGraph::build(const Module &M, const Function &F,
           const uint32_t DefSI = Body.DefStmt[D];
           if (testBit(Intra.data(), D) && DefSI != UseSI)
             G.addEdge(DefSI, UseSI, DepKind::FlowReg, /*Cross=*/false,
-                      Prob(DefSI, UseSI, DepChannel::Register,
-                           /*Cross=*/false));
+                      Prob.heuristic(DefSI, UseSI));
           if (testBit(Carried.data(), D))
             G.addEdge(DefSI, UseSI, DepKind::FlowReg, /*Cross=*/true,
-                      Prob(DefSI, UseSI, DepChannel::Register,
-                           /*Cross=*/true));
+                      Prob.heuristic(DefSI, UseSI));
         }
       }
       if (I.Dst != NoReg) {
@@ -637,7 +653,7 @@ LoopDepGraph LoopDepGraph::build(const Module &M, const Function &F,
       if (BranchSI == SI)
         continue;
       G.addEdge(BranchSI, SI, DepKind::Control, /*Cross=*/false,
-                Prob(BranchSI, SI, DepChannel::Control, /*Cross=*/false));
+                Prob.heuristic(BranchSI, SI));
     }
   }
 
@@ -698,7 +714,7 @@ std::vector<StmtId> LoopDepGraph::valueWatchCandidates(
   const LoopBody Body = analyzeLoopBody(F, Cfg, L, Freq);
   const std::vector<LoopStmt> &Stmts = Body.Stmts;
   const uint32_t NumStmts = static_cast<uint32_t>(Stmts.size());
-  const OracleProbe Prob(F, L, Stmts, Opts);
+  const EdgePricer Prob(Stmts, Opts);
 
   // Int-typed register defs start Open and become Watched at their first
   // cross-iteration flow probability above 1e-9.
@@ -720,7 +736,7 @@ std::vector<StmtId> LoopDepGraph::valueWatchCandidates(
         for (uint32_t D : Body.defsOf(R)) {
           const uint32_t DefSI = Body.DefStmt[D];
           if (State[DefSI] == Open && testBit(Carried.data(), D) &&
-              Prob(DefSI, UseSI, DepChannel::Register, /*Cross=*/true) > 1e-9)
+              Prob.heuristic(DefSI, UseSI) > 1e-9)
             State[DefSI] = Watched;
         }
       Body.killDefsOf(I, Carried.data());

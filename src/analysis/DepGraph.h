@@ -18,7 +18,8 @@
 ///  - a probability p: "for every N writes at W, pN reads access the same
 ///    location at R" — measured by the dependence profiler when available,
 ///    otherwise estimated from execution frequencies with type-based
-///    aliasing (same array => may alias).
+///    aliasing (same array => may alias). DepGraphOptions documents the
+///    order in which the sources are consulted.
 ///
 /// The cost model consumes flow+control edges; the partition legality
 /// closure consumes all intra-iteration edges (a legal partition keeps all
@@ -79,18 +80,22 @@ struct DepEdge {
   double Prob = 1.0;
 };
 
-class DepOracle;
-
 /// Inputs that vary by compilation mode (Section 8's basic/best).
+///
+/// A memory-flow edge W -> R takes its probability from the first source
+/// that speaks for it: Measured, when both W and R have an execution
+/// record there; else DepProfile; else the frequency-ratio heuristic
+/// min(1, freq(R) / freq(W)) per iteration. A profile's answer is the
+/// rate at which R read W's value per execution of W, and zero when W
+/// never ran or the pair never conflicted. Register-flow and control
+/// edges always take the heuristic.
 struct DepGraphOptions {
-  /// Dependence profile for this loop; null => static type-based aliasing.
+  /// This loop's record in a measured dependence-profile artifact
+  /// (profile/DepProfiler.h); null when none applies.
+  const LoopDepProfileData *Measured = nullptr;
+  /// This loop's in-run dependence profile; null when stage B collected
+  /// none.
   const LoopDepProfileData *DepProfile = nullptr;
-  /// Probability source for edge annotation. Every flow/control
-  /// probability estimate routes through this oracle (DepProfile is
-  /// handed to it as the in-run profile); null uses the process-wide
-  /// default ensemble, which reproduces the historical hard-wired
-  /// behavior byte for byte. See analysis/oracle/DepOracle.h.
-  const DepOracle *Oracle = nullptr;
   /// When false, memory effects of calls are ignored while *estimating*
   /// probabilities (legality stays conservative). Mirrors the paper's
   /// observed cost-underestimation for loops with calls (Figure 19).
@@ -130,8 +135,8 @@ public:
   /// statements of build(...).violationCandidates() with Dst != NoReg and
   /// Ty == Type::Int, which stage B watches for value patterns. Computed
   /// from the carried reaching definitions and the call summaries alone,
-  /// without building edges; each statement's oracle queries stop at its
-  /// first cross-iteration flow probability above 1e-9.
+  /// without building edges; each statement's pricing stops at its first
+  /// cross-iteration flow probability above 1e-9.
   static std::vector<StmtId>
   valueWatchCandidates(const Module &M, const Function &F, const CfgInfo &Cfg,
                        const Loop &L, const FreqInfo &Freq,

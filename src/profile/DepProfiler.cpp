@@ -18,6 +18,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <set>
 
 using namespace spt;
@@ -68,14 +69,7 @@ spt::profileDependenceArtifact(const Module &M, const DepProfilerOptions &O) {
     }
     if (LoopId >= Nest.numLoops())
       continue; // Profile from a stale analysis; drop defensively.
-    DepArtifactLoop L;
-    L.Func = F->name();
-    L.Header = Nest.loop(LoopId)->Header;
-    L.Activations = KV.second.Activations;
-    L.Iterations = KV.second.Iterations;
-    L.StmtExec = KV.second.StmtExec;
-    L.Pairs = KV.second.Pairs;
-    A.Loops.push_back(std::move(L));
+    A.Loops.push_back({F->name(), Nest.loop(LoopId)->Header, KV.second});
   }
   std::sort(A.Loops.begin(), A.Loops.end(),
             [](const DepArtifactLoop &X, const DepArtifactLoop &Y) {
@@ -119,13 +113,14 @@ std::string payloadOf(const DepProfileArtifact &A) {
   S += "workload " + Label + "\n";
   S += "steps " + std::to_string(A.Steps) + "\n";
   for (const DepArtifactLoop &L : A.Loops) {
+    const LoopDepProfileData &P = L.Profile;
     S += "loop " + L.Func + " " + std::to_string(L.Header) + " " +
-         std::to_string(L.Activations) + " " + std::to_string(L.Iterations) +
+         std::to_string(P.Activations) + " " + std::to_string(P.Iterations) +
          "\n";
-    for (const auto &KV : L.StmtExec)
+    for (const auto &KV : P.StmtExec)
       S += "exec " + std::to_string(KV.first) + " " +
            std::to_string(KV.second) + "\n";
-    for (const auto &KV : L.Pairs)
+    for (const auto &KV : P.Pairs)
       S += "pair " + std::to_string(KV.first.first) + " " +
            std::to_string(KV.first.second) + " " +
            std::to_string(KV.second.Intra) + " " +
@@ -146,7 +141,8 @@ std::string spt::serializeDepProfile(const DepProfileArtifact &A) {
 
 StatusOr<DepProfileArtifact> spt::parseDepProfile(const std::string &Text) {
   DepProfileArtifact A;
-  DepArtifactLoop *Cur = nullptr;
+  LoopDepProfileData *Cur = nullptr;
+  std::set<std::pair<std::string, BlockId>> Seen;
   size_t ChecksumAt = std::string::npos;
   uint64_t Declared = 0;
   bool SawHeader = false, SawModule = false, SawSteps = false;
@@ -189,20 +185,23 @@ StatusOr<DepProfileArtifact> spt::parseDepProfile(const std::string &Text) {
         return Status::error("dep profile: bad steps line");
       SawSteps = true;
     } else if (std::strcmp(Key, "loop") == 0) {
-      char Func[256] = {0};
-      uint32_t Header = 0;
-      uint64_t Act = 0, Iter = 0;
-      if (std::sscanf(Line.c_str(),
-                      "loop %255s %" SCNu32 " %" SCNu64 " %" SCNu64, Func,
-                      &Header, &Act, &Iter) != 4)
-        return Status::error("dep profile: bad loop line '" + Line + "'");
+      // The function name is the token up to the next space: SPTc places
+      // no limit on identifier length.
+      constexpr size_t NameAt = 5; // After "loop ".
+      const size_t NameEnd = Line.find(' ', NameAt);
       DepArtifactLoop L;
-      L.Func = Func;
-      L.Header = Header;
-      L.Activations = Act;
-      L.Iterations = Iter;
+      if (Line.compare(0, NameAt, "loop ") != 0 ||
+          NameEnd == std::string::npos || NameEnd == NameAt ||
+          std::sscanf(Line.c_str() + NameEnd,
+                      " %" SCNu32 " %" SCNu64 " %" SCNu64, &L.Header,
+                      &L.Profile.Activations, &L.Profile.Iterations) != 3)
+        return Status::error("dep profile: bad loop line '" + Line + "'");
+      L.Func = Line.substr(NameAt, NameEnd - NameAt);
+      if (!Seen.insert({L.Func, L.Header}).second)
+        return Status::error("dep profile: repeated loop record '" + Line +
+                             "'");
       A.Loops.push_back(std::move(L));
-      Cur = &A.Loops.back();
+      Cur = &A.Loops.back().Profile;
     } else if (std::strcmp(Key, "exec") == 0) {
       uint32_t Stmt = 0;
       uint64_t Count = 0;
@@ -255,11 +254,11 @@ double spt::depProfileDrift(const DepProfileArtifact &A,
                             const DepProfileArtifact &B) {
   // Index both sides by structural loop identity.
   using LoopKey = std::pair<std::string, BlockId>;
-  std::map<LoopKey, const DepArtifactLoop *> IA, IB;
+  std::map<LoopKey, const LoopDepProfileData *> IA, IB;
   for (const DepArtifactLoop &L : A.Loops)
-    IA[{L.Func, L.Header}] = &L;
+    IA[{L.Func, L.Header}] = &L.Profile;
   for (const DepArtifactLoop &L : B.Loops)
-    IB[{L.Func, L.Header}] = &L;
+    IB[{L.Func, L.Header}] = &L.Profile;
 
   std::set<LoopKey> Keys;
   for (const auto &KV : IA)
@@ -269,7 +268,7 @@ double spt::depProfileDrift(const DepProfileArtifact &A,
   if (Keys.empty())
     return 0.0;
 
-  auto crossRate = [](const DepArtifactLoop *L,
+  auto crossRate = [](const LoopDepProfileData *L,
                       std::pair<StmtId, StmtId> Pair) -> double {
     if (!L)
       return 0.0;
@@ -294,7 +293,7 @@ double spt::depProfileDrift(const DepProfileArtifact &A,
   // on. A loop with no cross conflicts on either side carries no weight;
   // when no loop has any, the profiles agree that nothing conflicts and
   // the drift is zero.
-  auto crossMass = [](const DepArtifactLoop *L) -> uint64_t {
+  auto crossMass = [](const LoopDepProfileData *L) -> uint64_t {
     uint64_t Mass = 0;
     if (L)
       for (const auto &KV : L->Pairs)
@@ -304,8 +303,8 @@ double spt::depProfileDrift(const DepProfileArtifact &A,
 
   double WeightSum = 0.0, Acc = 0.0;
   for (const LoopKey &K : Keys) {
-    const DepArtifactLoop *LA = IA.count(K) ? IA[K] : nullptr;
-    const DepArtifactLoop *LB = IB.count(K) ? IB[K] : nullptr;
+    const LoopDepProfileData *LA = IA.count(K) ? IA[K] : nullptr;
+    const LoopDepProfileData *LB = IB.count(K) ? IB[K] : nullptr;
     const uint64_t Mass = std::max(crossMass(LA), crossMass(LB));
     if (Mass == 0)
       continue; // No cross conflicts on either side: no drift signal.
@@ -333,76 +332,4 @@ double spt::depProfileDrift(const DepProfileArtifact &A,
     Acc += W * (D / static_cast<double>(PairKeys.size()));
   }
   return WeightSum <= 0.0 ? 0.0 : Acc / WeightSum;
-}
-
-//===----------------------------------------------------------------------===//
-// Measured oracle member
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-double clamp01(double X) { return X < 0.0 ? 0.0 : (X > 1.0 ? 1.0 : X); }
-
-class MeasuredDepOracle final : public DepOracle {
-public:
-  explicit MeasuredDepOracle(std::shared_ptr<const DepProfileArtifact> A)
-      : Artifact(std::move(A)) {
-    for (const DepArtifactLoop &L : Artifact->Loops)
-      Index[{L.Func, L.Header}] = &L;
-  }
-
-  const char *name() const override { return "measured"; }
-
-  std::optional<DepEstimate> dependence(const DepQuery &Q) const override {
-    if (Q.Channel != DepChannel::Memory || !Q.F || !Q.L)
-      return std::nullopt;
-    auto It = Index.find({Q.F->name(), Q.L->Header});
-    if (It == Index.end())
-      return std::nullopt; // Loop never observed: abstain.
-    const DepArtifactLoop &L = *It->second;
-    DepEstimate E;
-    E.Confidence = std::min(
-        1.0, static_cast<double>(L.Iterations) / ProfiledSaturationIters);
-    E.Source = name();
-    // A measured zero is only evidence if the profiling run actually
-    // watched both statements execute. Queries naming statements with no
-    // execution record — typically clones minted by unrolling *after*
-    // the artifact was measured — must abstain so the ensemble falls
-    // through to static analysis, not report "no conflict" with
-    // saturated confidence and green-light speculation the measurements
-    // never covered.
-    auto ExecIt = L.StmtExec.find(Q.Src);
-    const uint64_t WExec = ExecIt == L.StmtExec.end() ? 0 : ExecIt->second;
-    auto RExecIt = L.StmtExec.find(Q.Dst);
-    const uint64_t RExec = RExecIt == L.StmtExec.end() ? 0 : RExecIt->second;
-    if (WExec == 0 || RExec == 0)
-      return std::nullopt;
-    auto PairIt = L.Pairs.find({Q.Src, Q.Dst});
-    if (PairIt == L.Pairs.end()) {
-      E.Prob = 0.0;
-      return E;
-    }
-    const uint64_t Hits =
-        Q.Cross ? PairIt->second.Cross : PairIt->second.Intra;
-    E.Prob = clamp01(static_cast<double>(Hits) / static_cast<double>(WExec));
-    return E;
-  }
-
-  std::optional<BranchProbEstimate>
-  branchProbabilities(const BranchProbQuery &) const override {
-    return std::nullopt; // Artifacts carry no edge counts.
-  }
-
-private:
-  std::shared_ptr<const DepProfileArtifact> Artifact;
-  std::map<std::pair<std::string, BlockId>, const DepArtifactLoop *> Index;
-};
-
-} // namespace
-
-std::shared_ptr<const DepOracle>
-spt::makeMeasuredDepOracle(std::shared_ptr<const DepProfileArtifact> A) {
-  if (!A)
-    return nullptr;
-  return std::make_shared<MeasuredDepOracle>(std::move(A));
 }

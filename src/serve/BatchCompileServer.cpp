@@ -66,7 +66,6 @@ uint64_t spt::compilerOptionsFingerprint(const SptCompilerOptions &O) {
   S += "entry=" + O.ProfileEntry + ";";
   appendField(S, "seed", O.RngSeed);
   appendField(S, "psteps", O.ProfileMaxSteps);
-  appendField(S, "extprof", static_cast<uint64_t>(O.ExternalProfile != nullptr));
   appendField(S, "deadline", O.MaxPartitionSeconds);
   appendField(S, "costfrac", O.Selection.CostFraction);
   appendField(S, "prefork", O.Selection.PreForkSizeFraction);
@@ -89,13 +88,10 @@ uint64_t spt::compilerOptionsFingerprint(const SptCompilerOptions &O) {
   appendField(S, "svphit", O.Enabling.Svp.MinHitRatio);
   appendField(S, "svpsamples", O.Enabling.Svp.MinSamples);
   appendField(S, "svpprefork", O.Enabling.Svp.PreForkSizeFraction);
-  // Analysis group: the oracle selection and — crucially — the measured
-  // profile artifact's checksum. A report compiled against one artifact
-  // must never be served for a request carrying another (or none): the
-  // probabilities, and therefore the chosen partitions, can differ.
-  // ProfilePath is provenance only and deliberately excluded.
-  S += "oracle=" + O.Analysis.DependenceOracle + ";";
-  appendField(S, "conffloor", O.Analysis.ConfidenceFloor);
+  // The measured profile artifact's checksum. A report compiled against
+  // one artifact must never be served for a request carrying another (or
+  // none): the probabilities, and therefore the chosen partitions, can
+  // differ. ProfilePath is provenance only and deliberately excluded.
   appendField(S, "artifact",
               O.Analysis.Profile ? O.Analysis.Profile->Checksum : uint64_t(0));
   return fnv1a(S);

@@ -46,7 +46,6 @@
 #include "analysis/Freq.h"
 #include "analysis/LoopInfo.h"
 #include "analysis/ProfileData.h"
-#include "analysis/oracle/DepOracle.h"
 #include "cost/CostModel.h"
 #include "interp/Decode.h"
 #include "interp/Interp.h"

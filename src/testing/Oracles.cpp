@@ -11,7 +11,6 @@
 #include "analysis/DepGraph.h"
 #include "analysis/Freq.h"
 #include "analysis/LoopInfo.h"
-#include "analysis/oracle/DepOracle.h"
 #include "profile/DepProfiler.h"
 #include "cost/CostModel.h"
 #include "interp/Interp.h"
@@ -149,10 +148,10 @@ FaultInjectorOptions injectorOptionsAt(double SquashRate, uint64_t Seed) {
 /// Runs \p Fn over the dependence graph of each loop of \p M that has
 /// violation candidates, up to \p MaxLoops graphs. Returns how many
 /// graphs were visited. Without \p Profile, probabilities come from the
-/// default oracle's static member. With it, the graphs are the ones
-/// Best-mode pass 1 builds from a profiling run: block frequencies are
-/// the measured block counts, and each loop's dependence profile feeds
-/// its edge probabilities. Functions the run never reached are skipped.
+/// static heuristics. With it, the graphs are the ones Best-mode pass 1
+/// builds from a profiling run: block frequencies are the measured block
+/// counts, and each loop's dependence profile feeds its edge
+/// probabilities. Functions the run never reached are skipped.
 template <typename FnT>
 unsigned forEachLoopGraph(const Module &M, unsigned MaxLoops,
                           const ProfileBundle *Profile, FnT Fn) {
@@ -164,25 +163,12 @@ unsigned forEachLoopGraph(const Module &M, unsigned MaxLoops,
       continue;
     CfgInfo Cfg = CfgInfo::compute(*F);
     LoopNest Nest = LoopNest::compute(*F, Cfg);
-    // Probability sourcing goes through the oracle layer like the real
-    // pipeline: with measured counts the profiled member answers, else
-    // the default ensemble's static member reproduces the old
-    // staticHeuristic call exactly.
-    BranchProbQuery BQ;
-    BQ.F = F;
-    BQ.Cfg = &Cfg;
-    BQ.Nest = &Nest;
-    if (Profile)
-      BQ.Counts = Profile->Edges.countsFor(F);
-    std::optional<BranchProbEstimate> BE =
-        defaultDepOracle().branchProbabilities(BQ);
-    if (Profile && !(BE && BE->Measured))
+    // The driver's frequency sourcing (FuncAnalysis).
+    BlockFrequencies BF = blockFrequencies(
+        *F, Cfg, Nest, Profile ? Profile->Edges.countsFor(F) : nullptr);
+    if (Profile && !BF.Measured)
       continue;
-    CfgProbabilities Probs = BE ? std::move(BE->Probs)
-                                : CfgProbabilities::staticHeuristic(*F, Cfg,
-                                                                    Nest);
-    FreqInfo Freq = Profile ? FreqInfo::fromBlockCounts(*F, *BQ.Counts)
-                            : FreqInfo::compute(*F, Cfg, Nest, Probs);
+    const FreqInfo &Freq = BF.Freq;
     for (uint32_t LI = 0; LI != Nest.numLoops() && Visited < MaxLoops;
          ++LI) {
       const Loop &L = *Nest.loop(LI);

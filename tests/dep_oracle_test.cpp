@@ -1,19 +1,19 @@
-//===- tests/dep_oracle_test.cpp - Dependence-oracle ensemble --------------===//
+//===- tests/dep_oracle_test.cpp - Measured dependence profiles -----------===//
 //
 // Part of the SPT framework (PLDI 2004 reproduction). MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// The DepOracle API (analysis/oracle/DepOracle.h) and the measured
-// dependence-profile artifacts feeding it (profile/DepProfiler.h):
-// combiner determinism and floor semantics, registry routing, artifact
-// round-trip with corrupted-checksum rejection, drift measurement, the
-// no-artifact byte-identity guarantee, and the measured member actually
-// changing edge probabilities the cost model sees.
+// Where edge probabilities come from (DepGraphOptions) and the measured
+// dependence-profile artifacts that feed them (profile/DepProfiler.h):
+// memory edges priced measured > in-run > heuristic, the measured record
+// abstaining on statements it never saw execute, block frequencies from
+// edge counts versus the static heuristic, artifact round-trip with
+// corrupted-checksum, long-name and repeated-record handling, drift
+// measurement, and the driver ignoring foreign artifacts and unrolled
+// loops' records.
 //
 //===----------------------------------------------------------------------===//
-
-#include "analysis/oracle/DepOracle.h"
 
 #include "analysis/CallEffects.h"
 #include "analysis/Cfg.h"
@@ -79,173 +79,203 @@ DepProfileArtifact artifactFor(const Module &M, int64_t Mask) {
   return A.isOk() ? A.value() : DepProfileArtifact{};
 }
 
-//===----------------------------------------------------------------------===//
-// Combiner semantics.
-//===----------------------------------------------------------------------===//
+/// The static analyses of one function, and the graph of its loop
+/// \p LoopIdx under \p Opts.
+struct Analyzed {
+  CompileResult CR;
+  const Function *F = nullptr;
+  CfgInfo Cfg;
+  LoopNest Nest;
+  FreqInfo Freq;
+  CallEffects Effects;
 
-TEST(DepOracleCombinerTest, PriorityOrderAndDeterminism) {
-  auto Ensemble =
-      DepOracleRegistry::instance().create("ensemble", DepOracleConfig{});
-  ASSERT_NE(Ensemble, nullptr);
+  Analyzed(const char *Src, const char *Func)
+      : CR(compileSource(Src)), F(CR.M->findFunction(Func)),
+        Cfg(CfgInfo::compute(*F)), Nest(LoopNest::compute(*F, Cfg)),
+        Freq(blockFrequencies(*F, Cfg, Nest, nullptr).Freq),
+        Effects(CallEffects::compute(*CR.M)) {}
 
-  // Memory query without an in-run profile: the profiled member
-  // abstains, the static member answers with the frequency ratio.
-  DepQuery Q;
-  Q.Channel = DepChannel::Memory;
-  Q.Src = 1;
-  Q.Dst = 2;
-  Q.Cross = true;
-  Q.SrcIterFreq = 1.0;
-  Q.DstIterFreq = 0.5;
-  std::optional<DepEstimate> E = Ensemble->dependence(Q);
-  ASSERT_TRUE(E.has_value());
-  EXPECT_EQ(std::string(E->Source), "static");
-  EXPECT_DOUBLE_EQ(E->Prob, 0.5);
-  EXPECT_DOUBLE_EQ(E->Confidence, StaticOracleConfidence);
+  LoopDepGraph graph(uint32_t LoopIdx, const DepGraphOptions &Opts) const {
+    return LoopDepGraph::build(*CR.M, *F, Cfg, *Nest.loop(LoopIdx), Freq,
+                               Effects, Opts);
+  }
+};
 
-  // Deterministic: the identical query answers bit-identically.
-  std::optional<DepEstimate> E2 = Ensemble->dependence(Q);
-  ASSERT_TRUE(E2.has_value());
-  EXPECT_EQ(E->Prob, E2->Prob);
-  EXPECT_EQ(E->Confidence, E2->Confidence);
-  EXPECT_STREQ(E->Source, E2->Source);
-
-  // With an in-run profile the profiled member outranks static and its
-  // measured frequency (25 cross hits / 50 writer execs) wins.
-  LoopDepProfileData Prof;
-  Prof.Iterations = 100;
-  Prof.Activations = 1;
-  Prof.StmtExec[1] = 50;
-  Prof.Pairs[{1, 2}] = MemDepCounts{10, 25, 0};
-  Q.Profile = &Prof;
-  E = Ensemble->dependence(Q);
-  ASSERT_TRUE(E.has_value());
-  EXPECT_EQ(std::string(E->Source), "profile");
-  EXPECT_DOUBLE_EQ(E->Prob, 0.5);
-  EXPECT_DOUBLE_EQ(E->Confidence, 1.0);
-
-  // A profiled zero is an answer (writer observed, pair silent), not a
-  // fall-through to static.
-  Q.Src = 1;
-  Q.Dst = 3;
-  E = Ensemble->dependence(Q);
-  ASSERT_TRUE(E.has_value());
-  EXPECT_EQ(std::string(E->Source), "profile");
-  EXPECT_DOUBLE_EQ(E->Prob, 0.0);
-
-  // Register/control channels never consult the profile.
-  Q.Channel = DepChannel::Register;
-  E = Ensemble->dependence(Q);
-  ASSERT_TRUE(E.has_value());
-  EXPECT_EQ(std::string(E->Source), "static");
+/// Probability of the \p Cross FlowMem edge W -> R, or -1 when the graph
+/// has no such edge.
+double memProb(const LoopDepGraph &G, StmtId W, StmtId R, bool Cross) {
+  for (const DepEdge &E : G.edges())
+    if (E.Kind == DepKind::FlowMem && E.Cross == Cross &&
+        G.stmt(E.Src).Id == W && G.stmt(E.Dst).Id == R)
+      return E.Prob;
+  return -1.0;
 }
 
-TEST(DepOracleCombinerTest, ConfidenceFloorFallsThroughToSpeculation) {
-  DepOracleConfig C;
-  C.ConfidenceFloor = 0.5; // Above static (0.25) and fallback (0.1).
-  auto Ensemble = DepOracleRegistry::instance().create("ensemble", C);
-  ASSERT_NE(Ensemble, nullptr);
-
-  DepQuery Q;
-  Q.Channel = DepChannel::Memory;
-  Q.Cross = true;
-  Q.SrcIterFreq = 1.0;
-  Q.DstIterFreq = 1.0;
-  // No member clears the floor; the last answering member (the
-  // speculation fallback) wins.
-  std::optional<DepEstimate> E = Ensemble->dependence(Q);
-  ASSERT_TRUE(E.has_value());
-  EXPECT_EQ(std::string(E->Source), "fallback");
-  EXPECT_DOUBLE_EQ(E->Prob, FallbackCrossProb);
-  Q.Cross = false;
-  E = Ensemble->dependence(Q);
-  ASSERT_TRUE(E.has_value());
-  EXPECT_DOUBLE_EQ(E->Prob, 1.0);
-
-  // A confident in-run profile still clears a 0.5 floor.
-  LoopDepProfileData Prof;
-  Prof.Iterations = 64;
-  Prof.StmtExec[1] = 10;
-  Q.Src = 1;
-  Q.Dst = 2;
-  Q.Profile = &Prof;
-  E = Ensemble->dependence(Q);
-  ASSERT_TRUE(E.has_value());
-  EXPECT_EQ(std::string(E->Source), "profile");
+/// Every edge that is not a memory flow, as (src, dst, kind, cross, prob).
+std::vector<std::tuple<uint32_t, uint32_t, DepKind, bool, double>>
+otherEdges(const LoopDepGraph &G) {
+  std::vector<std::tuple<uint32_t, uint32_t, DepKind, bool, double>> Out;
+  for (const DepEdge &E : G.edges())
+    if (E.Kind != DepKind::FlowMem)
+      Out.emplace_back(E.Src, E.Dst, E.Kind, E.Cross, E.Prob);
+  return Out;
 }
 
-TEST(DepOracleCombinerTest, BranchProbabilitiesRouteThroughMembers) {
+/// The store and the load after it in SelfIndexSrc's second loop
+/// (a[i] = a[i] + 7; s = s + a[i];).
+struct StoreLoad {
+  StmtId W = NoStmt, R = NoStmt;
+};
+StoreLoad storeThenLoad(const LoopDepGraph &G) {
+  StoreLoad P;
+  for (const LoopStmt &S : G.stmts()) {
+    if (S.I->Op == Opcode::Store)
+      P.W = S.Id;
+    else if (S.I->Op == Opcode::Load && P.W != NoStmt)
+      P.R = S.Id;
+  }
+  return P;
+}
+
+/// Index of SelfIndexSrc's second loop, the one that loads.
+uint32_t readingLoop(const Analyzed &A) {
+  for (uint32_t I = 0; I != A.Nest.numLoops(); ++I)
+    if (storeThenLoad(A.graph(I, DepGraphOptions())).R != NoStmt)
+      return I;
+  return ~0u;
+}
+
+//===----------------------------------------------------------------------===//
+// Edge pricing.
+//===----------------------------------------------------------------------===//
+
+TEST(EdgePricingTest, MemoryEdgesTakeMeasuredThenInRunThenHeuristic) {
+  Analyzed A(SelfIndexSrc, "main");
+  const uint32_t Loop = readingLoop(A);
+  ASSERT_NE(Loop, ~0u);
+  const LoopDepGraph Static = A.graph(Loop, DepGraphOptions());
+  const StoreLoad P = storeThenLoad(Static);
+
+  // No profile: the frequency-ratio heuristic (both run once per
+  // iteration).
+  EXPECT_DOUBLE_EQ(memProb(Static, P.W, P.R, /*Cross=*/true), 1.0);
+  EXPECT_DOUBLE_EQ(memProb(Static, P.W, P.R, /*Cross=*/false), 1.0);
+
+  // The in-run profile outranks the heuristic: 25 cross and 10 intra
+  // hits per 50 writer executions.
+  LoopDepProfileData InRun;
+  InRun.Iterations = 51;
+  InRun.StmtExec[P.W] = 50;
+  InRun.StmtExec[P.R] = 50;
+  InRun.Pairs[{P.W, P.R}] = MemDepCounts{10, 25, 0};
+  DepGraphOptions Opts;
+  Opts.DepProfile = &InRun;
+  const LoopDepGraph FromInRun = A.graph(Loop, Opts);
+  EXPECT_DOUBLE_EQ(memProb(FromInRun, P.W, P.R, true), 0.5);
+  EXPECT_DOUBLE_EQ(memProb(FromInRun, P.W, P.R, false), 0.2);
+
+  // The measured record outranks the in-run profile.
+  LoopDepProfileData Measured;
+  Measured.Iterations = 41;
+  Measured.StmtExec[P.W] = 40;
+  Measured.StmtExec[P.R] = 40;
+  Measured.Pairs[{P.W, P.R}] = MemDepCounts{40, 10, 0};
+  Opts.Measured = &Measured;
+  const LoopDepGraph FromMeasured = A.graph(Loop, Opts);
+  EXPECT_DOUBLE_EQ(memProb(FromMeasured, P.W, P.R, true), 0.25);
+  EXPECT_DOUBLE_EQ(memProb(FromMeasured, P.W, P.R, false), 1.0);
+  // Also with no in-run profile at all.
+  Opts.DepProfile = nullptr;
+  EXPECT_DOUBLE_EQ(memProb(A.graph(Loop, Opts), P.W, P.R, true), 0.25);
+
+  // A profiled zero is an answer, not a fall-through: an in-run profile
+  // that never saw the writer run erases the cross edge.
+  LoopDepProfileData Silent;
+  DepGraphOptions SilentOpts;
+  SilentOpts.DepProfile = &Silent;
+  const LoopDepGraph FromSilent = A.graph(Loop, SilentOpts);
+  EXPECT_EQ(memProb(FromSilent, P.W, P.R, true), -1.0);
+  EXPECT_DOUBLE_EQ(memProb(FromSilent, P.W, P.R, false), 0.0);
+
+  // Register and control edges always take the heuristic.
+  const auto Want = otherEdges(Static);
+  EXPECT_FALSE(Want.empty());
+  for (const LoopDepGraph *G : {&FromInRun, &FromMeasured, &FromSilent})
+    EXPECT_EQ(otherEdges(*G), Want);
+}
+
+TEST(EdgePricingTest, MeasuredRecordAbstainsOnUnobservedStatements) {
+  Analyzed A(SelfIndexSrc, "main");
+  const uint32_t Loop = readingLoop(A);
+  ASSERT_NE(Loop, ~0u);
+  const StoreLoad P = storeThenLoad(A.graph(Loop, DepGraphOptions()));
+
+  LoopDepProfileData InRun;
+  InRun.StmtExec[P.W] = 50;
+  InRun.Pairs[{P.W, P.R}] = MemDepCounts{0, 25, 0};
+
+  // A record that watched only the writer, or only the reader, says
+  // nothing about the pair: the in-run profile answers, or without one
+  // the heuristic.
+  for (bool WriterSeen : {true, false}) {
+    LoopDepProfileData Measured;
+    Measured.Iterations = 100;
+    Measured.StmtExec[WriterSeen ? P.W : P.R] = 99;
+    DepGraphOptions Opts;
+    Opts.Measured = &Measured;
+    Opts.DepProfile = &InRun;
+    EXPECT_DOUBLE_EQ(memProb(A.graph(Loop, Opts), P.W, P.R, true), 0.5)
+        << WriterSeen;
+    Opts.DepProfile = nullptr;
+    EXPECT_DOUBLE_EQ(memProb(A.graph(Loop, Opts), P.W, P.R, true), 1.0)
+        << WriterSeen;
+  }
+
+  // Once it watched both, its silence is a measured zero.
+  LoopDepProfileData Measured;
+  Measured.StmtExec[P.W] = 99;
+  Measured.StmtExec[P.R] = 99;
+  DepGraphOptions Opts;
+  Opts.Measured = &Measured;
+  Opts.DepProfile = &InRun;
+  EXPECT_EQ(memProb(A.graph(Loop, Opts), P.W, P.R, true), -1.0);
+}
+
+TEST(EdgePricingTest, BlockFrequenciesFromCountsOrStaticHeuristic) {
   CompileResult CR = compileSource(SelfIndexSrc);
   ASSERT_TRUE(CR.ok());
   const Function *F = CR.M->findFunction("main");
   ASSERT_NE(F, nullptr);
   CfgInfo Cfg = CfgInfo::compute(*F);
   LoopNest Nest = LoopNest::compute(*F, Cfg);
+  const FreqInfo Static = FreqInfo::compute(
+      *F, Cfg, Nest, CfgProbabilities::staticHeuristic(*F, Cfg, Nest));
+  auto expectStatic = [&](const FunctionEdgeCounts *Counts) {
+    const BlockFrequencies BF = blockFrequencies(*F, Cfg, Nest, Counts);
+    EXPECT_FALSE(BF.Measured);
+    for (BlockId B = 0; B != BlockId(F->numBlocks()); ++B)
+      EXPECT_EQ(BF.Freq.blockFreq(B), Static.blockFreq(B)) << B;
+  };
 
-  BranchProbQuery Q;
-  Q.F = F;
-  Q.Cfg = &Cfg;
-  Q.Nest = &Nest;
-  std::optional<BranchProbEstimate> E =
-      defaultDepOracle().branchProbabilities(Q);
-  ASSERT_TRUE(E.has_value());
-  EXPECT_FALSE(E->Measured);
-  EXPECT_EQ(std::string(E->Source), "static");
-
-  // Shape-mismatched counts must be declined by the profiled member, not
-  // half-consumed.
+  // No counts, counts of another shape, and counts that never reached
+  // the function all fall back to the static heuristic.
+  expectStatic(nullptr);
   FunctionEdgeCounts Bad;
   Bad.Block.assign(F->numBlocks() + 3, 7);
-  Q.Counts = &Bad;
-  E = defaultDepOracle().branchProbabilities(Q);
-  ASSERT_TRUE(E.has_value());
-  EXPECT_FALSE(E->Measured);
+  expectStatic(&Bad);
+  FunctionEdgeCounts Cold;
+  Cold.resizeFor(*F);
+  expectStatic(&Cold);
 
-  // Valid, executed counts flip the answer to measured.
+  // Matching, executed counts are the frequencies.
   FunctionEdgeCounts Good;
   Good.resizeFor(*F);
-  for (auto &B : Good.Block)
-    B = 1;
-  Q.Counts = &Good;
-  E = defaultDepOracle().branchProbabilities(Q);
-  ASSERT_TRUE(E.has_value());
-  EXPECT_TRUE(E->Measured);
-  EXPECT_EQ(std::string(E->Source), "profile");
-
-  // The pure-fallback oracle has no branch member at all.
-  auto Fallback =
-      DepOracleRegistry::instance().create("fallback", DepOracleConfig{});
-  ASSERT_NE(Fallback, nullptr);
-  EXPECT_FALSE(Fallback->branchProbabilities(Q).has_value());
-}
-
-//===----------------------------------------------------------------------===//
-// Registry.
-//===----------------------------------------------------------------------===//
-
-TEST(DepOracleRegistryTest, BuiltinsCustomsAndUnknowns) {
-  auto &Reg = DepOracleRegistry::instance();
-  std::vector<std::string> Names = Reg.names();
-  for (const char *Builtin :
-       {"ensemble", "static", "profile", "fallback", "measured"})
-    EXPECT_NE(std::find(Names.begin(), Names.end(), Builtin), Names.end())
-        << Builtin;
-
-  EXPECT_EQ(Reg.create("no-such-oracle", DepOracleConfig{}), nullptr);
-
-  // Custom registration is first-come-first-served.
-  auto Factory = [](const DepOracleConfig &C) {
-    return std::make_shared<DepOracleEnsemble>(
-        "custom-test",
-        std::vector<std::shared_ptr<const DepOracle>>{
-            std::make_shared<StaticDepOracle>()},
-        C.ConfidenceFloor);
-  };
-  EXPECT_TRUE(Reg.add("custom-test-oracle", Factory));
-  EXPECT_FALSE(Reg.add("custom-test-oracle", Factory));
-  auto Custom = Reg.create("custom-test-oracle", DepOracleConfig{});
-  ASSERT_NE(Custom, nullptr);
-  EXPECT_EQ(std::string(Custom->name()), "custom-test");
+  for (size_t B = 0; B != Good.Block.size(); ++B)
+    Good.Block[B] = 3 + B;
+  const BlockFrequencies BF = blockFrequencies(*F, Cfg, Nest, &Good);
+  EXPECT_TRUE(BF.Measured);
+  for (BlockId B = 0; B != BlockId(F->numBlocks()); ++B)
+    EXPECT_EQ(BF.Freq.blockFreq(B), static_cast<double>(3 + B));
 }
 
 //===----------------------------------------------------------------------===//
@@ -300,42 +330,81 @@ TEST(DepProfileArtifactTest, DriftSeparatesInputDistributions) {
   EXPECT_DOUBLE_EQ(depProfileDrift(Sparse, Dense), D) << "drift is symmetric";
 }
 
+/// A program whose function \p Name runs one loop of 59 iterations (60
+/// header visits), called from main.
+std::string longNameSrc(const std::string &Name) {
+  return "int a[64];\n"
+         "int " + Name + "() {\n"
+         "  int i;\n"
+         "  for (i = 0; i < 59; i = i + 1) { a[i] = i; }\n"
+         "  return a[3];\n"
+         "}\n"
+         "int main() { return " + Name + "(); }\n";
+}
+
+TEST(DepProfileArtifactTest, FunctionNamesOfAnyLengthRoundTrip) {
+  // 300 characters, and 256 ending in a digit: a name cut at 255
+  // characters would leave the digit to be read as the header.
+  for (const std::string &Name :
+       {std::string(300, 'f'), std::string(255, 'f') + "1"}) {
+    CompileResult CR = compileSource(longNameSrc(Name));
+    ASSERT_TRUE(CR.ok());
+    StatusOr<DepProfileArtifact> A =
+        profileDependenceArtifact(*CR.M, DepProfilerOptions());
+    ASSERT_TRUE(A.isOk()) << Name.size() << ": " << A.message();
+    const DepArtifactLoop *L = nullptr;
+    for (const DepArtifactLoop &Each : A.value().Loops)
+      if (Each.Func == Name)
+        L = &Each;
+    ASSERT_NE(L, nullptr) << Name.size();
+    EXPECT_EQ(L->Profile.Activations, 1u);
+    EXPECT_EQ(L->Profile.Iterations, 60u);
+    const std::string Text = serializeDepProfile(A.value());
+    StatusOr<DepProfileArtifact> RT = parseDepProfile(Text);
+    ASSERT_TRUE(RT.isOk()) << RT.message();
+    EXPECT_EQ(serializeDepProfile(RT.value()), Text);
+  }
+}
+
+TEST(DepProfileArtifactTest, RepeatedLoopRecordIsRejected) {
+  CompileResult CR = compileSource(MaskedRecurrenceSrc);
+  ASSERT_TRUE(CR.ok());
+  DepProfileArtifact A = artifactFor(*CR.M, 0);
+  ASSERT_FALSE(A.Loops.empty());
+  ASSERT_TRUE(parseDepProfile(serializeDepProfile(A)).isOk());
+
+  // A second record for the same (function, header), under a valid
+  // checksum: the loops are unique keys, so the parse must refuse rather
+  // than let one record shadow the other.
+  DepArtifactLoop Twin = A.Loops.front();
+  Twin.Profile.Iterations += 1;
+  A.Loops.insert(A.Loops.begin() + 1, Twin);
+  StatusOr<DepProfileArtifact> Bad = parseDepProfile(serializeDepProfile(A));
+  ASSERT_FALSE(Bad.isOk());
+  EXPECT_NE(Bad.message().find("repeated loop record"), std::string::npos)
+      << Bad.message();
+}
+
 //===----------------------------------------------------------------------===//
-// The measured member changes what the cost model sees.
+// A measured artifact changes what the cost model sees.
 //===----------------------------------------------------------------------===//
 
 TEST(MeasuredOracleTest, ErasesNeverObservedCrossDependences) {
-  CompileResult CR = compileSource(SelfIndexSrc);
-  ASSERT_TRUE(CR.ok());
-  DepProfilerOptions DPO;
-  StatusOr<DepProfileArtifact> A = profileDependenceArtifact(*CR.M, DPO);
-  ASSERT_TRUE(A.isOk()) << A.message();
-  auto Artifact = std::make_shared<DepProfileArtifact>(A.value());
-
-  DepOracleConfig C;
-  C.Measured = makeMeasuredDepOracle(Artifact);
-  ASSERT_NE(C.Measured, nullptr);
-  auto Measured = DepOracleRegistry::instance().create("ensemble", C);
-  ASSERT_NE(Measured, nullptr);
-
-  const Function *F = CR.M->findFunction("main");
-  ASSERT_NE(F, nullptr);
-  CfgInfo Cfg = CfgInfo::compute(*F);
-  LoopNest Nest = LoopNest::compute(*F, Cfg);
-  CfgProbabilities Probs = CfgProbabilities::staticHeuristic(*F, Cfg, Nest);
-  FreqInfo Freq = FreqInfo::compute(*F, Cfg, Nest, Probs);
-  CallEffects Effects = CallEffects::compute(*CR.M);
+  Analyzed A(SelfIndexSrc, "main");
+  StatusOr<DepProfileArtifact> Art =
+      profileDependenceArtifact(*A.CR.M, DepProfilerOptions());
+  ASSERT_TRUE(Art.isOk()) << Art.message();
 
   bool SawErasure = false;
-  for (uint32_t LI = 0; LI != Nest.numLoops(); ++LI) {
-    const Loop &L = *Nest.loop(LI);
-    DepGraphOptions Static;
-    LoopDepGraph GS =
-        LoopDepGraph::build(*CR.M, *F, Cfg, L, Freq, Effects, Static);
+  for (uint32_t LI = 0; LI != A.Nest.numLoops(); ++LI) {
+    const Loop &L = *A.Nest.loop(LI);
+    const LoopDepGraph GS = A.graph(LI, DepGraphOptions());
     DepGraphOptions WithMeasured;
-    WithMeasured.Oracle = Measured.get();
-    LoopDepGraph GM = LoopDepGraph::build(*CR.M, *F, Cfg, L, Freq, Effects,
-                                          WithMeasured);
+    for (const DepArtifactLoop &AL : Art.value().Loops)
+      if (AL.Func == "main" && AL.Header == L.Header)
+        WithMeasured.Measured = &AL.Profile;
+    ASSERT_NE(WithMeasured.Measured, nullptr) << L.Header;
+    const LoopDepGraph GM = A.graph(LI, WithMeasured);
     // The static graph prices cross-iteration memory flow on the
     // self-indexed update; the measured one knows it never fires.
     double StaticCross = 0.0, MeasuredCross = 0.0;
@@ -355,8 +424,7 @@ TEST(MeasuredOracleTest, ErasesNeverObservedCrossDependences) {
 }
 
 //===----------------------------------------------------------------------===//
-// Driver integration: byte-identity without artifacts, graceful
-// degradation on bad inputs.
+// Driver integration: artifacts that do not apply are ignored.
 //===----------------------------------------------------------------------===//
 
 std::string renderFor(const std::string &Src, const SptCompilerOptions &O) {
@@ -364,99 +432,6 @@ std::string renderFor(const std::string &Src, const SptCompilerOptions &O) {
   EXPECT_TRUE(CR.ok());
   CompilationReport R = compileSpt(*CR.M, O);
   return renderReportDeterministic(R);
-}
-
-TEST(DriverOracleTest, NoArtifactReportsAreOracleInvariant) {
-  // With no artifact, the default options and an explicitly selected
-  // ensemble must render the same report — the guarantee that
-  // introducing the oracle layer changed nothing for existing callers.
-  for (CompilationMode Mode :
-       {CompilationMode::Basic, CompilationMode::Best}) {
-    SptCompilerOptions Default;
-    Default.Mode = Mode;
-    const std::string Want = renderFor(MaskedRecurrenceSrc, Default);
-    EXPECT_EQ(renderFor(MaskedRecurrenceSrc,
-                        Default.withDependenceOracle("ensemble")),
-              Want);
-  }
-}
-
-TEST(DriverOracleTest, StaticOnlyMatchesEnsembleWithoutProfiles) {
-  // When no dependence profile exists (DepProfile == nullptr, no edge
-  // counts), the pure-static oracle and the full ensemble produce the
-  // same graph edge for edge — the "static-only fallback" guarantee.
-  CompileResult CR = compileSource(MaskedRecurrenceSrc);
-  ASSERT_TRUE(CR.ok());
-  const Function *F = CR.M->findFunction("work");
-  ASSERT_NE(F, nullptr);
-  CfgInfo Cfg = CfgInfo::compute(*F);
-  LoopNest Nest = LoopNest::compute(*F, Cfg);
-  ASSERT_GT(Nest.numLoops(), 0u);
-  CfgProbabilities Probs = CfgProbabilities::staticHeuristic(*F, Cfg, Nest);
-  FreqInfo Freq = FreqInfo::compute(*F, Cfg, Nest, Probs);
-  CallEffects Effects = CallEffects::compute(*CR.M);
-
-  auto Static =
-      DepOracleRegistry::instance().create("static", DepOracleConfig{});
-  ASSERT_NE(Static, nullptr);
-  for (uint32_t LI = 0; LI != Nest.numLoops(); ++LI) {
-    const Loop &L = *Nest.loop(LI);
-    LoopDepGraph GE = LoopDepGraph::build(*CR.M, *F, Cfg, L, Freq, Effects,
-                                          DepGraphOptions());
-    DepGraphOptions SO;
-    SO.Oracle = Static.get();
-    LoopDepGraph GS =
-        LoopDepGraph::build(*CR.M, *F, Cfg, L, Freq, Effects, SO);
-    ASSERT_EQ(GE.edges().size(), GS.edges().size());
-    for (size_t I = 0; I != GE.edges().size(); ++I) {
-      const DepEdge &A = GE.edges()[I];
-      const DepEdge &B = GS.edges()[I];
-      EXPECT_EQ(A.Kind, B.Kind);
-      EXPECT_EQ(A.Cross, B.Cross);
-      EXPECT_DOUBLE_EQ(A.Prob, B.Prob);
-    }
-  }
-
-  // Branch probabilities with no counts: both answer the static
-  // heuristic, so analytic frequencies agree block for block.
-  BranchProbQuery Q;
-  Q.F = F;
-  Q.Cfg = &Cfg;
-  Q.Nest = &Nest;
-  std::optional<BranchProbEstimate> FromEnsemble =
-      defaultDepOracle().branchProbabilities(Q);
-  std::optional<BranchProbEstimate> FromStatic =
-      Static->branchProbabilities(Q);
-  ASSERT_TRUE(FromEnsemble.has_value());
-  ASSERT_TRUE(FromStatic.has_value());
-  EXPECT_FALSE(FromEnsemble->Measured);
-  EXPECT_FALSE(FromStatic->Measured);
-  FreqInfo FE = FreqInfo::compute(*F, Cfg, Nest, FromEnsemble->Probs);
-  FreqInfo FS = FreqInfo::compute(*F, Cfg, Nest, FromStatic->Probs);
-  for (BlockId B = 0; B != BlockId(F->numBlocks()); ++B)
-    EXPECT_DOUBLE_EQ(FE.blockFreq(B), FS.blockFreq(B));
-}
-
-TEST(DriverOracleTest, UnknownOracleDegradesWithDiagnostic) {
-  CompileResult CR = compileSource(MaskedRecurrenceSrc);
-  ASSERT_TRUE(CR.ok());
-  SptCompilerOptions O;
-  O.Mode = CompilationMode::Best;
-  O = O.withDependenceOracle("definitely-not-registered");
-  CompilationReport R = compileSpt(*CR.M, O);
-  bool Saw = false;
-  for (const Diagnostic &D : R.Diags.all())
-    Saw |= D.Detail.find("unknown dependence oracle") != std::string::npos;
-  EXPECT_TRUE(Saw);
-
-  // Apart from the diagnostic, the report matches the default ensemble.
-  CompileResult CR2 = compileSource(MaskedRecurrenceSrc);
-  ASSERT_TRUE(CR2.ok());
-  CompilationReport Want = compileSpt(*CR2.M, SptCompilerOptions());
-  const std::string A = renderReportDeterministic(R);
-  const std::string B = renderReportDeterministic(Want);
-  EXPECT_EQ(A.substr(0, A.find("diagnostics:")),
-            B.substr(0, B.find("diagnostics:")));
 }
 
 TEST(DriverOracleTest, ForeignArtifactIsIgnoredWithDiagnostic) {
@@ -493,11 +468,10 @@ TEST(DriverOracleTest, ForeignArtifactIsIgnoredWithDiagnostic) {
 TEST(DriverOracleTest, UnrolledLoopsRouteAwayFromMeasuredArtifact) {
   // Both loops are light enough that the driver unrolls them before
   // partitioning, minting clone statements the pre-unroll artifact never
-  // observed. The measured member must not answer for those clones with
-  // vacuous zeros (which would green-light speculating the dense
-  // recurrence); the driver routes unrolled loops to the artifact-free
-  // twin ensemble, so the compile is byte-identical to the in-run
-  // default.
+  // observed. The artifact must not answer for those clones with vacuous
+  // zeros (which would green-light speculating the dense recurrence);
+  // unrolled loops ignore the artifact, so the compile is byte-identical
+  // to the in-run default.
   const char *Src =
       "int a[512];\n"
       "int main() {\n"

@@ -8,17 +8,15 @@
 // without building edges. Its oracle is LoopDepGraph::build: the set must
 // equal the graph's violation candidates filtered to Int-typed register
 // definitions, in statement order. Checked on the loop set of
-// DepGraphCorpus.h under the ensemble, static and fallback oracles, the
-// ensemble at ConfidenceFloor 0.3, with and without call effects in cost
-// estimation, and with fine and coarse alias classes; plus a hand-written
-// loop whose Int call enters the set only through memory.
+// DepGraphCorpus.h with and without call effects in cost estimation, and
+// with fine and coarse alias classes; plus a hand-written loop whose Int
+// call enters the set only through memory.
 //
 //===----------------------------------------------------------------------===//
 
 #include "DepGraphCorpus.h"
 
 #include "analysis/DepGraph.h"
-#include "analysis/oracle/DepOracle.h"
 
 #include <gtest/gtest.h>
 
@@ -43,45 +41,23 @@ std::vector<StmtId> watchedByGraph(const LoopDepGraph &G) {
   return Ids;
 }
 
-struct OracleCase {
-  const char *Name;
-  double Floor;
-};
-
-const OracleCase OracleCases[] = {
-    {"ensemble", 0.0}, {"static", 0.0}, {"fallback", 0.0}, {"ensemble", 0.3}};
-
-std::shared_ptr<const DepOracle> makeOracle(const OracleCase &Case) {
-  DepOracleConfig Config;
-  Config.ConfidenceFloor = Case.Floor;
-  return DepOracleRegistry::instance().create(Case.Name, Config);
-}
-
 /// Checks every option combination on one loop; returns the number of
 /// watched statements the graph found, summed over the combinations.
 size_t checkLoop(const CorpusLoop &C) {
   size_t Watched = 0;
-  for (const OracleCase &Case : OracleCases) {
-    const std::shared_ptr<const DepOracle> Oracle = makeOracle(Case);
-    EXPECT_TRUE(Oracle) << Case.Name;
-    if (!Oracle)
-      continue;
-    for (bool CallEffectsInCost : {true, false}) {
-      for (bool Coarse : {false, true}) {
-        DepGraphOptions Opts;
-        Opts.Oracle = Oracle.get();
-        Opts.ModelCallEffectsInCost = CallEffectsInCost;
-        Opts.CoarseAliasClasses = Coarse;
-        const std::vector<StmtId> Want = watchedByGraph(LoopDepGraph::build(
-            C.M, C.F, C.Cfg, C.L, C.Freq, C.Effects, Opts));
-        EXPECT_EQ(LoopDepGraph::valueWatchCandidates(C.M, C.F, C.Cfg, C.L,
-                                                     C.Freq, C.Effects, Opts),
-                  Want)
-            << C.Key << " oracle=" << Case.Name << " floor=" << Case.Floor
-            << " callEffectsInCost=" << CallEffectsInCost
-            << " coarse=" << Coarse;
-        Watched += Want.size();
-      }
+  for (bool CallEffectsInCost : {true, false}) {
+    for (bool Coarse : {false, true}) {
+      DepGraphOptions Opts;
+      Opts.ModelCallEffectsInCost = CallEffectsInCost;
+      Opts.CoarseAliasClasses = Coarse;
+      const std::vector<StmtId> Want = watchedByGraph(LoopDepGraph::build(
+          C.M, C.F, C.Cfg, C.L, C.Freq, C.Effects, Opts));
+      EXPECT_EQ(LoopDepGraph::valueWatchCandidates(C.M, C.F, C.Cfg, C.L,
+                                                   C.Freq, C.Effects, Opts),
+                Want)
+          << C.Key << " callEffectsInCost=" << CallEffectsInCost
+          << " coarse=" << Coarse;
+      Watched += Want.size();
     }
   }
   return Watched;

@@ -561,12 +561,6 @@ TEST(ServeCacheTest, ProfileArtifactIsPartOfTheCacheKey) {
                 Plain.withProfileArtifact(Artifact, "a.sptprof")),
             compilerOptionsFingerprint(
                 Plain.withProfileArtifact(Artifact, "b.sptprof")));
-  // Oracle selection and the confidence floor split the key too.
-  EXPECT_NE(compilerOptionsFingerprint(Plain),
-            compilerOptionsFingerprint(Plain.withDependenceOracle("static")));
-  EXPECT_NE(compilerOptionsFingerprint(Plain),
-            compilerOptionsFingerprint(
-                Plain.withDependenceOracle("ensemble", 0.5)));
 
   // End to end: one batch with the artifact, one without, same source.
   // The cache must compile twice (no cross-key hit), and both runs must

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Produces, inspects and diffs the checksum-verified dependence-profile
-// artifacts consumed by the compiler's measured dependence oracle
+// artifacts the compiler prices memory dependences from
 // (docs/profiling.md). Modes:
 //
 //   sptprof --selfcheck       deterministic acceptance sweep: artifact
@@ -70,7 +70,7 @@ bool parseUint(const char *S, uint64_t &Out) {
 size_t totalPairs(const DepProfileArtifact &A) {
   size_t N = 0;
   for (const DepArtifactLoop &L : A.Loops)
-    N += L.Pairs.size();
+    N += L.Profile.Pairs.size();
   return N;
 }
 

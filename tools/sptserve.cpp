@@ -434,10 +434,10 @@ bool selfcheckProfileDrift(const CliOptions &Cli) {
   // d=1024 never conflicts inside the loop. The body is straight-line on
   // purpose: its heuristic weight equals its measured weight and sits
   // inside [MinBodyWeight, MaxBodyWeight], so the loop is never
-  // unrolled. That keeps the measured oracle member authoritative for
-  // it — an unrolled body is routed away from the artifact (its clones
-  // carry statement ids the measurements never observed), which would
-  // defeat the very coverage this scenario exercises.
+  // unrolled. That keeps the artifact authoritative for it — an unrolled
+  // body does not read the artifact (its clones carry statement ids the
+  // measurements never observed), which would defeat the very coverage
+  // this scenario exercises.
   static const char *Src =
       "int a[2048];\n"
       "int work(int d) {\n"
