@@ -222,12 +222,6 @@ TEST(FreqTest, ProfiledCountsOverrideHeuristic) {
     for (size_t S = 0; S != BB->Succs.size(); ++S)
       Counts.Edge[BB->id()][S] = BB->Succs.size() == 2 ? (S == 0 ? 6 : 1) : 7;
   }
-  CfgProbabilities P = CfgProbabilities::fromEdgeCounts(*A.F, Counts);
-  for (const auto &BB : *A.F)
-    if (BB->Succs.size() == 2) {
-      EXPECT_NEAR(P.succProb(BB->id(), 0), 6.0 / 7.0, 1e-12);
-      EXPECT_NEAR(P.succProb(BB->id(), 1), 1.0 / 7.0, 1e-12);
-    }
   FreqInfo FI = FreqInfo::fromBlockCounts(*A.F, Counts);
   EXPECT_DOUBLE_EQ(FI.blockFreq(A.F->entry()), 7.0);
 }

@@ -257,7 +257,6 @@ TEST(SvpTest, RewriteLowersMisspeculationCost) {
     CfgInfo Cfg = CfgInfo::compute(*F);
     LoopNest Nest = LoopNest::compute(*F, Cfg);
     const FunctionEdgeCounts *EC = B.Edges.countsFor(F);
-    CfgProbabilities Probs = CfgProbabilities::fromEdgeCounts(*F, *EC);
     FreqInfo Freq = FreqInfo::fromBlockCounts(*F, *EC);
     CallEffects Effects = CallEffects::compute(M);
     // The loop is the one whose header has the largest count; with one
