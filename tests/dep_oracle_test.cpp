@@ -9,9 +9,9 @@
 // memory edges priced measured > in-run > heuristic, the measured record
 // abstaining on statements it never saw execute, block frequencies from
 // edge counts versus the static heuristic, artifact round-trip with
-// corrupted-checksum, long-name and repeated-record handling, drift
-// measurement, and the driver ignoring foreign artifacts and unrolled
-// loops' records.
+// corrupted-checksum, long-name, repeated-record and signed or
+// out-of-range count handling, drift measurement, and the driver ignoring
+// foreign artifacts and unrolled loops' records.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +23,12 @@
 #include "driver/SptCompiler.h"
 #include "lang/Frontend.h"
 #include "profile/DepProfiler.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
 
 using namespace spt;
 
@@ -383,6 +387,56 @@ TEST(DepProfileArtifactTest, RepeatedLoopRecordIsRejected) {
   ASSERT_FALSE(Bad.isOk());
   EXPECT_NE(Bad.message().find("repeated loop record"), std::string::npos)
       << Bad.message();
+}
+
+/// \p Text with field \p Field (0 is the record key) of its first \p Key
+/// record spelled \p Spelling, resealed under a valid checksum for
+/// \p ModuleHash.
+std::string respelled(const std::string &Text, uint64_t ModuleHash,
+                      const std::string &Key, unsigned Field,
+                      const std::string &Spelling) {
+  size_t At = Text.find("\n" + Key + " ");
+  EXPECT_NE(At, std::string::npos) << Key;
+  if (At == std::string::npos)
+    return Text;
+  ++At;
+  for (unsigned I = 0; I != Field; ++I)
+    At = Text.find(' ', At) + 1;
+  const size_t End = Text.find_first_of(" \n", At);
+  std::string Payload = Text.substr(0, Text.find("checksum "));
+  Payload.replace(At, End - At, Spelling);
+  char Sum[24];
+  std::snprintf(Sum, sizeof(Sum), "%016" PRIx64,
+                fnv1a(Payload) ^ ModuleHash);
+  return Payload + "checksum " + Sum + "\n";
+}
+
+TEST(DepProfileArtifactTest, SignedAndOutOfRangeCountsAreRejected) {
+  CompileResult CR = compileSource(MaskedRecurrenceSrc);
+  ASSERT_TRUE(CR.ok());
+  const DepProfileArtifact A = artifactFor(*CR.M, 0);
+  const std::string Text = serializeDepProfile(A);
+  ASSERT_NE(Text.find("\npair "), std::string::npos);
+
+  // Resealing a plain count keeps the artifact valid, so each rejection
+  // below is the spelling's, not the checksum's. A count of 2^64-1 would
+  // price its writer's memory edges at about 0.
+  struct FieldAt {
+    const char *Key;
+    unsigned Field;
+  };
+  for (const FieldAt &F : {FieldAt{"steps", 1}, FieldAt{"loop", 3},
+                           FieldAt{"exec", 2}, FieldAt{"pair", 4}}) {
+    EXPECT_TRUE(
+        parseDepProfile(respelled(Text, A.ModuleHash, F.Key, F.Field, "7"))
+            .isOk())
+        << F.Key;
+    for (const char *Spelling : {"-1", "18446744073709551616", "+7"})
+      EXPECT_FALSE(parseDepProfile(respelled(Text, A.ModuleHash, F.Key,
+                                             F.Field, Spelling))
+                       .isOk())
+          << F.Key << " " << Spelling;
+  }
 }
 
 //===----------------------------------------------------------------------===//
