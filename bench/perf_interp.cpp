@@ -192,7 +192,7 @@ RowResult runKernel(const Kernel &K, bool Quick, int Repeat) {
   const Function *F = M->findFunction("f");
   const std::vector<Value> Args = {Value::ofInt(Quick ? K.QuickN : K.N)};
 
-  Row.FusedOps = M->decodeCache().imageFor(F)->NumFused;
+  Row.FusedOps = decodeFunction(*M, *F, arrayBaseLayout(*M)).NumFused;
 
   // Record-free timing: run() builds no StepResults; referenceStep always
   // materializes one per instruction, which is exactly the per-step cost

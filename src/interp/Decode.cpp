@@ -5,9 +5,8 @@
 // Two things live here:
 //
 //  1. The decode pass: Function -> DecodedFunction (flattening, operand
-//     pre-extraction, branch-target resolution, superinstruction fusion)
-//     and the fingerprint-validated module-level cache behind
-//     Module::decodeCache().
+//     pre-extraction, branch-target resolution, superinstruction fusion),
+//     and the interpreter's per-function image table.
 //
 //  2. Interpreter::run(), the instantiation of the decoded engine
 //     (interp/DecodeEngine.h) for callers without a sink of their own; it
@@ -21,53 +20,9 @@
 #include "interp/Interp.h"
 #include "support/Debug.h"
 
-#include <cstring>
+#include <memory>
 
 using namespace spt;
-
-//===----------------------------------------------------------------------===//
-// Fingerprint + array layout.
-//===----------------------------------------------------------------------===//
-
-uint64_t spt::functionFingerprint(const Function &F) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  auto mix = [&H](uint64_t Bits) {
-    for (int Byte = 0; Byte != 8; ++Byte) {
-      H ^= (Bits >> (Byte * 8)) & 0xffu;
-      H *= 0x100000001b3ull;
-    }
-  };
-  mix(F.numRegs());
-  mix(F.numParams());
-  mix(F.numBlocks());
-  mix(F.isExternal());
-  for (BlockId B = 0; B != F.numBlocks(); ++B) {
-    const BasicBlock *BB = F.block(B);
-    // Storage identity, not just content: decoded ops hold Instr pointers,
-    // and a pass that rebuilds a block's instruction vector with identical
-    // contents (e.g. a no-op cleanup) still moves the storage they point
-    // into. Same address + same content == the pointers are still good.
-    mix(reinterpret_cast<uintptr_t>(BB->Instrs.data()));
-    mix(BB->Instrs.size());
-    for (const Instr &I : BB->Instrs) {
-      mix(uint64_t(static_cast<uint8_t>(I.Op)) |
-          (uint64_t(static_cast<uint8_t>(I.Ty)) << 8));
-      mix(I.Dst);
-      mix(I.Srcs.size());
-      for (Reg R : I.Srcs)
-        mix(R);
-      mix(static_cast<uint64_t>(I.IntImm));
-      uint64_t FpBits;
-      std::memcpy(&FpBits, &I.FpImm, sizeof(FpBits));
-      mix(FpBits);
-      mix(I.Id);
-    }
-    mix(BB->Succs.size());
-    for (BlockId S : BB->Succs)
-      mix(S);
-  }
-  return H;
-}
 
 //===----------------------------------------------------------------------===//
 // Decode pass.
@@ -407,69 +362,42 @@ void fuseBlock(const Function &F, const BasicBlock &BB, uint32_t Start,
   }
 }
 
-std::shared_ptr<const DecodedFunction>
-buildImage(const Module &M, const Function &F, uint64_t Fingerprint,
-           const std::vector<uint64_t> &Bases) {
-  auto DF = std::make_shared<DecodedFunction>();
-  DF->F = &F;
-  DF->Fingerprint = Fingerprint;
-  DF->BlockStart.resize(F.numBlocks());
+} // namespace
+
+DecodedFunction spt::decodeFunction(const Module &M, const Function &F,
+                                    const std::vector<uint64_t> &ArrayBase) {
+  DecodedFunction DF;
+  DF.F = &F;
+  DF.BlockStart.resize(F.numBlocks());
   uint32_t Total = 0;
   for (BlockId B = 0; B != F.numBlocks(); ++B) {
-    DF->BlockStart[B] = Total;
+    DF.BlockStart[B] = Total;
     Total += static_cast<uint32_t>(F.block(B)->Instrs.size());
   }
-  DF->Code.resize(Total);
+  DF.Code.resize(Total);
   for (BlockId B = 0; B != F.numBlocks(); ++B) {
     const BasicBlock *BB = F.block(B);
     for (uint32_t Idx = 0; Idx != BB->Instrs.size(); ++Idx)
-      decodePlain(M, F, *BB, B, Idx, Bases, *DF,
-                  DF->Code[DF->BlockStart[B] + Idx]);
+      decodePlain(M, F, *BB, B, Idx, ArrayBase, DF,
+                  DF.Code[DF.BlockStart[B] + Idx]);
   }
   for (BlockId B = 0; B != F.numBlocks(); ++B)
-    fuseBlock(F, *F.block(B), DF->BlockStart[B], *DF);
+    fuseBlock(F, *F.block(B), DF.BlockStart[B], DF);
   return DF;
 }
 
-} // namespace
-
 //===----------------------------------------------------------------------===//
-// Module-level cache.
+// The interpreter's image table.
 //===----------------------------------------------------------------------===//
-
-DecodedModule::DecodedModule(const Module &M)
-    : M(M), ArrayBase(arrayBaseLayout(M)) {
-  Images.resize(M.numFunctions());
-}
-
-std::shared_ptr<const DecodedFunction>
-DecodedModule::imageFor(const Function *F) {
-  const uint32_t Idx = M.indexOf(F);
-  const uint64_t Fingerprint = functionFingerprint(*F);
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (Images.size() < M.numFunctions())
-    Images.resize(M.numFunctions());
-  if (ArrayBase.size() != M.numArrays())
-    ArrayBase = arrayBaseLayout(M); // Arrays are append-only.
-  std::shared_ptr<const DecodedFunction> &Slot = Images[Idx];
-  if (!Slot || Slot->Fingerprint != Fingerprint)
-    Slot = buildImage(M, *F, Fingerprint, ArrayBase);
-  return Slot;
-}
-
-DecodedModule &Module::decodeCache() const {
-  std::call_once(DecodeCacheOnce, [this] {
-    DecodeCache = std::make_shared<DecodedModule>(*this);
-  });
-  return *DecodeCache;
-}
 
 const DecodedFunction *Interpreter::imageByIndex(uint32_t Idx) {
-  if (FnImages.size() <= Idx)
-    FnImages.resize(std::max<size_t>(M.numFunctions(), Idx + 1));
-  std::shared_ptr<const DecodedFunction> &Slot = FnImages[Idx];
+  ImageTable &Table = *Images;
+  if (Table.size() <= Idx)
+    Table.resize(std::max<size_t>(M.numFunctions(), Idx + 1));
+  std::unique_ptr<const DecodedFunction> &Slot = Table[Idx];
   if (!Slot)
-    Slot = M.decodeCache().imageFor(M.function(Idx));
+    Slot = std::make_unique<const DecodedFunction>(
+        decodeFunction(M, *M.function(Idx), ArrayBase));
   return Slot.get();
 }
 

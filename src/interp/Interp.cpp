@@ -37,7 +37,7 @@ std::vector<uint64_t> spt::arrayBaseLayout(const Module &M) {
 
 Interpreter::Interpreter(const Module &M, InterpOptions Opts)
     : M(M), Mem(&OwnMemory), ArrayBase(arrayBaseLayout(M)), Rng(Opts.RngSeed),
-      Opts(Opts) {
+      Opts(Opts), Images(std::make_shared<ImageTable>(M.numFunctions())) {
   OwnMemory.resize(M.numArrays());
   for (size_t I = 0; I != M.numArrays(); ++I)
     OwnMemory[I].assign(M.array(static_cast<uint32_t>(I)).Size, Value());
@@ -52,7 +52,7 @@ Interpreter::Interpreter(const Module &M, InterpOptions Opts)
 
 Interpreter::Interpreter(const Module &M, Interpreter &Other)
     : M(M), Mem(Other.Mem), ArrayBase(Other.ArrayBase), Rng(Other.Rng),
-      Opts(Other.Opts), FnImages(Other.FnImages) {
+      Opts(Other.Opts), Images(Other.Images) {
   assert(&M == &Other.M && "memory sharing requires the same module");
   RegArena.reserve(Other.RegArena.capacity());
 }

@@ -137,8 +137,9 @@ public:
   /// Creates an interpreter that *shares* \p Other's array memory (used
   /// for speculative ghost contexts, which redirect their writes through
   /// MemHooks while reading the shared image). The ghost's RNG state is
-  /// cloned from \p Other at construction, and the decoded images \p Other
-  /// already resolved are shared so per-fork ghosts never re-decode.
+  /// cloned from \p Other at construction. The two also share one table
+  /// of decoded images, so per-fork ghosts never re-decode; they must run
+  /// on the same thread.
   Interpreter(const Module &M, Interpreter &Other);
 
   const Module &module() const { return M; }
@@ -275,8 +276,8 @@ private:
   void pushFrame(const Function *Callee, Reg RetDst, const Value *Args,
                  size_t NArgs);
 
-  /// Resolved decoded image for module function index \p Idx, memoized per
-  /// interpreter (defined in interp/Decode.cpp).
+  /// The decoded image of module function index \p Idx, decoded on first
+  /// use (defined in interp/Decode.cpp).
   const DecodedFunction *imageByIndex(uint32_t Idx);
   const DecodedFunction *imageOf(const Function *F);
 
@@ -297,10 +298,10 @@ private:
   MemHooks *Hooks_ = nullptr;
   /// Reused argument buffer for Call instructions.
   std::vector<Value> ArgScratch;
-  /// Per-interpreter memo of fingerprint-validated decoded images, indexed
-  /// by module function index. shared_ptr keeps an image alive across the
-  /// module-level cache rebuilding it for a mutated sibling function.
-  std::vector<std::shared_ptr<const DecodedFunction>> FnImages;
+  /// Decoded images by module function index, kept for the interpreter's
+  /// lifetime and shared with the ghosts built from it.
+  using ImageTable = std::vector<std::unique_ptr<const DecodedFunction>>;
+  std::shared_ptr<ImageTable> Images;
 };
 
 /// Convenience: interprets \p FnName(\p Args) in a fresh interpreter and

@@ -29,13 +29,10 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace spt {
-
-class DecodedModule;
 
 /// A virtual register index, local to a Function.
 using Reg = uint32_t;
@@ -236,20 +233,9 @@ public:
   /// Returns the array id for \p Name; asserts it exists.
   uint32_t arrayIdOf(const std::string &Name) const;
 
-  /// The module's cache of pre-decoded interpreter images (lazily built;
-  /// defined in interp/Decode.cpp). The cache is shared by every
-  /// Interpreter over this module — profilers, simulators and per-fork
-  /// ghost contexts — and revalidates per-function fingerprints, so
-  /// in-place transforms of a function are safe.
-  DecodedModule &decodeCache() const;
-
 private:
   std::vector<std::unique_ptr<Function>> Funcs;
   std::vector<ArrayDecl> Arrays;
-  /// shared_ptr so IR-only translation units never need the complete
-  /// DecodedModule type.
-  mutable std::shared_ptr<DecodedModule> DecodeCache;
-  mutable std::once_flag DecodeCacheOnce;
 };
 
 } // namespace spt
