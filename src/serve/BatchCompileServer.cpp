@@ -83,8 +83,6 @@ uint64_t spt::compilerOptionsFingerprint(const SptCompilerOptions &O) {
   appendField(S, "deps", static_cast<uint64_t>(O.Enabling.EnableDepProfiles));
   appendField(S, "calleff",
               static_cast<uint64_t>(O.Enabling.ModelCallEffectsInCost));
-  appendField(S, "callattr",
-              static_cast<uint64_t>(O.Enabling.AttributeCalleeAccesses));
   appendField(S, "svphit", O.Enabling.Svp.MinHitRatio);
   appendField(S, "svpsamples", O.Enabling.Svp.MinSamples);
   appendField(S, "svpprefork", O.Enabling.Svp.PreForkSizeFraction);
