@@ -67,10 +67,10 @@ struct ConfigRun {
   uint64_t CostEvals = 0;      ///< Sum of cost-model evaluations.
 };
 
-/// Compiles \p W Repeat times through the spt::Compiler facade. \p Obs,
-/// when non-null, turns on span tracing and counter recording into that
-/// shared context (the "obs" configuration); null compiles with
-/// observability off, the facade's default.
+/// Compiles \p W Repeat times with compileSpt. \p Obs, when non-null,
+/// turns on span tracing and counter recording into that shared context
+/// (the "obs" configuration); null compiles with observability off, the
+/// default.
 ConfigRun runConfig(const Workload &W, int Repeat, ObsContext *Obs = nullptr) {
   ConfigRun Out;
   for (int R = 0; R != Repeat; ++R) {
@@ -78,8 +78,7 @@ ConfigRun runConfig(const Workload &W, int Repeat, ObsContext *Obs = nullptr) {
     SptCompilerOptions Opts;
     if (Obs)
       Opts = Opts.withTracing(Obs);
-    Compiler C(Opts);
-    CompilationReport Report = C.compile(*M);
+    CompilationReport Report = compileSpt(*M, Opts);
     if (R == 0) {
       Out.PassOneSeconds = Report.PassOneSeconds;
       Out.Rendered = renderReportDeterministic(Report);

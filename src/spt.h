@@ -12,9 +12,11 @@
 ///
 /// The surface comes in two rings:
 ///
-///   Supported API — the spt::Compiler facade, its options/report types,
-///   deterministic report rendering, and the observability layer (spans,
-///   counters, stats dumps, Chrome trace export + validator).
+///   Supported API — compileSpt, its options/report types, deterministic
+///   report rendering, and the observability layer (spans, counters,
+///   stats dumps, Chrome trace export + validator). To record a batch of
+///   compiles into one trace and stats dump, own an ObsContext and pass
+///   it to each compile with SptCompilerOptions::withTracing(&Ctx).
 ///
 ///   Bench/tooling surface — everything the in-tree harnesses also need:
 ///   the language frontend, interpreter, workload suite, simulators,
@@ -28,7 +30,6 @@
 #define SPT_SPT_H
 
 // --- Supported API -----------------------------------------------------===//
-#include "driver/Compiler.h"    // spt::Compiler facade
 #include "driver/SptCompiler.h" // SptCompilerOptions, CompilationReport,
                                 // compileSpt, renderReportDeterministic
 #include "obs/Json.h"           // json::parse, validateChromeTrace

@@ -7,8 +7,8 @@
 // The obs/ contracts: counter/histogram arithmetic, registry snapshots,
 // the RAII span tracer and its Chrome trace export, the JSON parser and
 // trace validator, the statistical accumulators folded in from
-// support/Statistics.h, and — through compileSpt and the spt::Compiler
-// facade — the determinism contract of the whole instrumented pipeline:
+// support/Statistics.h, and — through compileSpt — the determinism
+// contract of the whole instrumented pipeline:
 //
 //   * the stats dump is byte-identical across runs (counters are
 //     additive/max-merged, histograms bucket by value, the dump carries
@@ -646,34 +646,6 @@ TEST(PipelineObsTest, ExportedTraceValidatesAndNests) {
   // Span taxonomy sanity: the stage spans made it into the export.
   EXPECT_NE(Trace.find("\"stageA.unroll\""), std::string::npos);
   EXPECT_NE(Trace.find("\"pass1.loop "), std::string::npos);
-}
-
-TEST(CompilerFacadeTest, AccumulatesAcrossCompilations) {
-  Compiler C(SptCompilerOptions::best().withTracing());
-  std::vector<Workload> Suite = allWorkloads();
-  Suite.resize(2);
-  for (const Workload &W : Suite) {
-    auto M = compileWorkload(W);
-    C.compile(*M);
-  }
-  const StatsSnapshot S = C.stats();
-  EXPECT_EQ(S.Counters.at("driver.compilations"), 2u);
-  EXPECT_EQ(S.SpanCounts.at("compile"), 2u);
-  std::string Err;
-  size_t N = 0;
-  EXPECT_TRUE(validateChromeTrace(C.trace(), Err, &N)) << Err;
-  EXPECT_GT(N, 0u);
-}
-
-TEST(CompilerFacadeTest, DisabledFacadeIsEmpty) {
-  Compiler C;
-  auto M = compileWorkload(allWorkloads()[0]);
-  C.compile(*M);
-  EXPECT_TRUE(C.stats().empty());
-  std::string Err;
-  size_t N = 99;
-  EXPECT_TRUE(validateChromeTrace(C.trace(), Err, &N)) << Err;
-  EXPECT_EQ(N, 0u);
 }
 
 } // namespace

@@ -4,8 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Compiles the workload suite through the spt::Compiler facade with
-// observability enabled and writes the two artifacts the layer produces:
+// Compiles the workload suite with compileSpt, recording every compile
+// into one observability context, and writes the two artifacts the layer
+// produces:
 //
 //   spt_trace.json   Chrome trace_event JSON — load in chrome://tracing
 //                    or https://ui.perfetto.dev to see the per-stage and
@@ -61,16 +62,17 @@ int main(int Argc, char **Argv) {
   if (Suite.size() > MaxWorkloads)
     Suite.resize(MaxWorkloads);
 
-  Compiler C(SptCompilerOptions::best().withTracing());
+  ObsContext Ctx;
+  const SptCompilerOptions Opts = SptCompilerOptions::best().withTracing(&Ctx);
   for (const Workload &W : Suite) {
     auto M = compileWorkload(W);
-    CompilationReport Report = C.compile(*M);
+    CompilationReport Report = compileSpt(*M, Opts);
     std::fprintf(stderr, "spttrace: %-12s %zu loops selected%s\n",
                  W.Name.c_str(), Report.numSelected(),
                  Report.Degraded ? " (degraded)" : "");
   }
 
-  const std::string Trace = C.trace();
+  const std::string Trace = exportChromeTrace(Ctx.Trace);
   std::string TraceErr;
   size_t NumEvents = 0;
   if (!validateChromeTrace(Trace, TraceErr, &NumEvents)) {
@@ -87,7 +89,7 @@ int main(int Argc, char **Argv) {
   }
   TraceOut.close();
 
-  const StatsSnapshot Snap = C.stats();
+  const StatsSnapshot Snap = Ctx.snapshot();
   std::ofstream StatsOut(StatsPath);
   StatsOut << (JsonStats ? renderStatsJson(Snap) : renderStatsText(Snap));
   if (!StatsOut) {
