@@ -98,35 +98,50 @@ struct CorpusLoop {
   const CallEffects &Effects;
 };
 
-/// Calls \p Fn(const CorpusLoop &) for every loop of corpus program
-/// \p Index, lowered first, then unrolled; within a shape in function
-/// order, then loop order.
-template <typename FnT> void forEachLoop(size_t Index, FnT Fn) {
+/// Calls \p Fn(const std::string &Prefix, const Module &) for corpus
+/// program \p Index lowered, then unrolled; Prefix is "<program>
+/// <lowered|unrolled> ".
+template <typename FnT> void forEachShape(size_t Index, FnT Fn) {
   for (bool Unroll : {false, true}) {
     auto [Name, M] = program(Index);
     if (Unroll)
       unrollInnermostLoops(*M);
-    const std::string Prefix = Name + (Unroll ? " unrolled " : " lowered ");
-    const CallEffects Effects = CallEffects::compute(*M);
-    for (size_t FI = 0; FI != M->numFunctions(); ++FI) {
-      const Function &F = *M->function(static_cast<uint32_t>(FI));
-      if (F.isExternal() || F.numBlocks() == 0)
-        continue;
-      const CfgInfo Cfg = CfgInfo::compute(F);
-      const LoopNest Nest = LoopNest::compute(F, Cfg);
-      const CfgProbabilities Probs =
-          CfgProbabilities::staticHeuristic(F, Cfg, Nest);
-      const FreqInfo Freq = FreqInfo::compute(F, Cfg, Nest, Probs);
-      for (uint32_t LI = 0; LI != Nest.numLoops(); ++LI) {
-        const Loop &L = *Nest.loop(LI);
-        std::string Key = Prefix;
-        Key += F.name();
-        Key += ':';
-        Key += std::to_string(L.Header);
-        Fn(CorpusLoop{Key, *M, F, Cfg, L, Freq, Effects});
-      }
+    Fn(Name + (Unroll ? " unrolled " : " lowered "), *M);
+  }
+}
+
+/// Calls \p Fn(const CorpusLoop &) for every loop of \p M in function
+/// order, then loop order, keyed \p Prefix + "<function>:<header>".
+template <typename FnT>
+void forEachLoopOf(const std::string &Prefix, const Module &M, FnT Fn) {
+  const CallEffects Effects = CallEffects::compute(M);
+  for (size_t FI = 0; FI != M.numFunctions(); ++FI) {
+    const Function &F = *M.function(static_cast<uint32_t>(FI));
+    if (F.isExternal() || F.numBlocks() == 0)
+      continue;
+    const CfgInfo Cfg = CfgInfo::compute(F);
+    const LoopNest Nest = LoopNest::compute(F, Cfg);
+    const CfgProbabilities Probs =
+        CfgProbabilities::staticHeuristic(F, Cfg, Nest);
+    const FreqInfo Freq = FreqInfo::compute(F, Cfg, Nest, Probs);
+    for (uint32_t LI = 0; LI != Nest.numLoops(); ++LI) {
+      const Loop &L = *Nest.loop(LI);
+      std::string Key = Prefix;
+      Key += F.name();
+      Key += ':';
+      Key += std::to_string(L.Header);
+      Fn(CorpusLoop{Key, M, F, Cfg, L, Freq, Effects});
     }
   }
+}
+
+/// Calls \p Fn(const CorpusLoop &) for every loop of corpus program
+/// \p Index, lowered first, then unrolled; within a shape in function
+/// order, then loop order.
+template <typename FnT> void forEachLoop(size_t Index, FnT Fn) {
+  forEachShape(Index, [&](const std::string &Prefix, const Module &M) {
+    forEachLoopOf(Prefix, M, Fn);
+  });
 }
 
 } // namespace spt::depgraph_corpus

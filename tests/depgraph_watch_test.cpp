@@ -8,15 +8,19 @@
 // without building edges. Its oracle is LoopDepGraph::build: the set must
 // equal the graph's violation candidates filtered to Int-typed register
 // definitions, in statement order. Checked on the loop set of
-// DepGraphCorpus.h with and without call effects in cost estimation, and
-// with fine and coarse alias classes; plus a hand-written loop whose Int
-// call enters the set only through memory.
+// DepGraphCorpus.h with and without call effects in cost estimation, with
+// fine and coarse alias classes, and with and without each dependence
+// profile: a measured record (stage B passes one whenever an artifact is
+// installed) and an in-run profile, both taken from one profiling run of
+// each program under perfbench's serve_cold budget; plus a hand-written
+// loop whose Int call enters the set only through memory.
 //
 //===----------------------------------------------------------------------===//
 
 #include "DepGraphCorpus.h"
 
 #include "analysis/DepGraph.h"
+#include "profile/Profiler.h"
 
 #include <gtest/gtest.h>
 
@@ -41,23 +45,37 @@ std::vector<StmtId> watchedByGraph(const LoopDepGraph &G) {
   return Ids;
 }
 
-/// Checks every option combination on one loop; returns the number of
-/// watched statements the graph found, summed over the combinations.
-size_t checkLoop(const CorpusLoop &C) {
+/// Profiling runs stop after this many steps, serve_cold's budget.
+constexpr uint64_t ProfileMaxSteps = 2000000;
+
+/// Checks every option combination on one loop, pricing memory edges with
+/// and without \p Profile as the measured record and as the in-run
+/// profile; returns the number of watched statements the graph found,
+/// summed over the combinations.
+size_t checkLoop(const CorpusLoop &C, const LoopDepProfileData *Profile) {
   size_t Watched = 0;
-  for (bool CallEffectsInCost : {true, false}) {
-    for (bool Coarse : {false, true}) {
-      DepGraphOptions Opts;
-      Opts.ModelCallEffectsInCost = CallEffectsInCost;
-      Opts.CoarseAliasClasses = Coarse;
-      const std::vector<StmtId> Want = watchedByGraph(LoopDepGraph::build(
-          C.M, C.F, C.Cfg, C.L, C.Freq, C.Effects, Opts));
-      EXPECT_EQ(LoopDepGraph::valueWatchCandidates(C.M, C.F, C.Cfg, C.L,
-                                                   C.Freq, C.Effects, Opts),
-                Want)
-          << C.Key << " callEffectsInCost=" << CallEffectsInCost
-          << " coarse=" << Coarse;
-      Watched += Want.size();
+  const LoopDepProfileData *Choices[] = {nullptr, Profile};
+  for (const LoopDepProfileData *Measured : Choices) {
+    for (const LoopDepProfileData *InRun : Choices) {
+      for (bool CallEffectsInCost : {true, false}) {
+        for (bool Coarse : {false, true}) {
+          DepGraphOptions Opts;
+          Opts.Measured = Measured;
+          Opts.DepProfile = InRun;
+          Opts.ModelCallEffectsInCost = CallEffectsInCost;
+          Opts.CoarseAliasClasses = Coarse;
+          const std::vector<StmtId> Want = watchedByGraph(LoopDepGraph::build(
+              C.M, C.F, C.Cfg, C.L, C.Freq, C.Effects, Opts));
+          EXPECT_EQ(LoopDepGraph::valueWatchCandidates(
+                        C.M, C.F, C.Cfg, C.L, C.Freq, C.Effects, Opts),
+                    Want)
+              << C.Key << " measured=" << (Measured != nullptr)
+              << " inRun=" << (InRun != nullptr)
+              << " callEffectsInCost=" << CallEffectsInCost
+              << " coarse=" << Coarse;
+          Watched += Want.size();
+        }
+      }
     }
   }
   return Watched;
@@ -68,15 +86,26 @@ class ValueWatchCorpus : public ::testing::TestWithParam<size_t> {};
 } // namespace
 
 TEST_P(ValueWatchCorpus, MatchesFilteredViolationCandidates) {
-  size_t Loops = 0, Watched = 0;
+  ProfilerOptions PO;
+  PO.CollectEdges = false;
+  PO.CollectValues = false;
+  PO.MaxSteps = ProfileMaxSteps;
+  size_t Loops = 0, Profiled = 0, Watched = 0;
   for (size_t P = GetParam(); P < numPrograms(); P += NumChunks)
-    forEachLoop(P, [&](const CorpusLoop &C) {
-      ++Loops;
-      Watched += checkLoop(C);
+    forEachShape(P, [&](const std::string &Prefix, const Module &M) {
+      const ProfileBundle B = profileRun(M, "main", {}, PO);
+      forEachLoopOf(Prefix, M, [&](const CorpusLoop &C) {
+        const LoopDepProfileData *Profile = B.Deps.profileFor(&C.F, C.L.Id);
+        ++Loops;
+        Profiled += Profile != nullptr;
+        Watched += checkLoop(C, Profile);
+      });
     });
   EXPECT_GT(Loops, 0u);
-  // The comparison is vacuous unless some loop has a watched statement.
+  // The comparison is vacuous unless some loop has a watched statement,
+  // and the profiled dimensions unless some loop ran.
   EXPECT_GT(Watched, 0u);
+  EXPECT_GT(Profiled, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Chunks, ValueWatchCorpus,
