@@ -7,8 +7,9 @@
 // Deterministic unit tests for the serve/ robustness envelope: cooperative
 // cancellation (CancelToken through compileSpt and mid-PartitionSearch),
 // per-attempt deadline expiry, the Best -> Basic -> skip degradation
-// ladder, quarantine after N strikes, admission-control rejection, and
-// checksum-verified cache corruption detection.
+// ladder, quarantine after N strikes, admission-control rejection,
+// checksum-verified cache corruption detection, and what repeated and
+// respelled requests are served.
 //
 //===----------------------------------------------------------------------===//
 
@@ -67,14 +68,42 @@ ServeOptions baseOptions() {
   return SO;
 }
 
-/// Runs one batch through a fresh server built from \p SO.
-ServeBatchReport serveBatch(const ServeOptions &SO,
-                            const std::vector<ServeRequest> &Batch) {
-  BatchCompileServer Server(SO);
+/// Runs one batch through \p Server and drains it.
+ServeBatchReport runBatch(BatchCompileServer &Server,
+                          const std::vector<ServeRequest> &Batch) {
   Server.start();
   for (const ServeRequest &R : Batch)
     Server.submitOrWait(R);
   return Server.drain();
+}
+
+/// Runs one batch through a fresh server built from \p SO.
+ServeBatchReport serveBatch(const ServeOptions &SO,
+                            const std::vector<ServeRequest> &Batch) {
+  BatchCompileServer Server(SO);
+  return runBatch(Server, Batch);
+}
+
+/// \p Src with the same canonical form but other bytes: a leading block
+/// comment, every space doubled, a line comment ending every line and
+/// redundant parentheses around the returned value. Expects a program
+/// from genProgram, which always ends in "return chk;".
+std::string respell(const std::string &Src) {
+  std::string Out = "/* respelled */\n";
+  for (char C : Src) {
+    if (C == '\n')
+      Out += "   // same program\n";
+    else if (C == ' ')
+      Out += "  ";
+    else
+      Out += C;
+  }
+  const std::string Return = "return  chk;";
+  const size_t At = Out.rfind(Return);
+  EXPECT_NE(At, std::string::npos);
+  if (At != std::string::npos)
+    Out.replace(At, Return.size(), "return ((chk));");
+  return Out;
 }
 
 } // namespace
@@ -574,4 +603,144 @@ TEST(ServeCacheTest, ProfileArtifactIsPartOfTheCacheKey) {
   EXPECT_EQ(Without.Outcomes[0].State, ServeState::Completed);
   EXPECT_EQ(With.Outcomes[0].State, ServeState::Completed);
   EXPECT_EQ(With.Cache.Hits, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Server: repeated and respelled requests
+//===----------------------------------------------------------------------===//
+
+TEST(ServeRepeatTest, RespelledProgramIsACacheHitWithTheOriginalsIdentity) {
+  const std::string Src = genProgram(12);
+  const std::string Respelled = respell(Src);
+  ASSERT_NE(Respelled, Src);
+  ServeBatchReport R = serveBatch(
+      baseOptions(), {{1, "original", Src}, {2, "respelled", Respelled}});
+  ASSERT_EQ(R.Outcomes.size(), 2u);
+  const ServeOutcome &A = R.Outcomes[0];
+  const ServeOutcome &B = R.Outcomes[1];
+  EXPECT_EQ(A.State, ServeState::Completed);
+  EXPECT_FALSE(A.CacheHit);
+  EXPECT_NE(A.ContentHash, 0u);
+  EXPECT_EQ(B.State, ServeState::Completed);
+  EXPECT_TRUE(B.CacheHit);
+  EXPECT_EQ(B.Attempts, 0u);
+  EXPECT_EQ(B.ContentHash, A.ContentHash);
+  EXPECT_EQ(B.Report, A.Report);
+  EXPECT_EQ(R.Cache.Hits, 1u);
+  EXPECT_EQ(R.Cache.Misses, 1u);
+}
+
+TEST(ServeRepeatTest, RepeatAfterCorruptionRecompilesByteIdentically) {
+  BatchCompileServer Server(baseOptions());
+  const std::string Src = genProgram(13);
+  ServeBatchReport Fill = runBatch(Server, {{1, "fill", Src}});
+  ASSERT_EQ(Fill.Outcomes.size(), 1u);
+  const ServeOutcome &Gold = Fill.Outcomes[0];
+  ASSERT_EQ(Gold.State, ServeState::Completed);
+
+  ASSERT_TRUE(Server.corruptOneCacheEntry());
+  ServeBatchReport Repeat = runBatch(Server, {{2, "repeat", Src}});
+  ASSERT_EQ(Repeat.Outcomes.size(), 1u);
+  const ServeOutcome &O = Repeat.Outcomes[0];
+  EXPECT_EQ(O.State, ServeState::Completed);
+  EXPECT_FALSE(O.CacheHit);
+  EXPECT_EQ(O.Attempts, 1u);
+  EXPECT_EQ(O.ContentHash, Gold.ContentHash);
+  EXPECT_EQ(O.Report, Gold.Report);
+
+  // The recompile healed the entry: the next repeat is a verified hit.
+  ServeBatchReport Again = runBatch(Server, {{3, "again", Src}});
+  ASSERT_EQ(Again.Outcomes.size(), 1u);
+  EXPECT_TRUE(Again.Outcomes[0].CacheHit);
+  EXPECT_EQ(Again.Outcomes[0].Report, Gold.Report);
+
+  // One probe per request: the fill's miss, the corrupt miss, the hit.
+  const CompileCacheStats S = Server.cacheStats();
+  EXPECT_EQ(S.Corrupt, 1u);
+  EXPECT_EQ(S.Misses, 2u);
+  EXPECT_EQ(S.Hits, 1u);
+  EXPECT_EQ(S.Insertions, 2u);
+}
+
+TEST(ServeRepeatTest, RepeatOfAQuarantinedProgramIsQuarantined) {
+  ServeOptions SO = baseOptions();
+  SO.ChaosFaultRate = 1.0; // Both rungs fault: two strikes per request.
+  SO.StrikeLimit = 2;
+  const std::string Src = genProgram(14);
+  BatchCompileServer Server(SO);
+  ServeBatchReport First = runBatch(Server, {{1, "poison", Src}});
+  ASSERT_EQ(First.Outcomes.size(), 1u);
+  ASSERT_EQ(First.Outcomes[0].State, ServeState::Skipped);
+
+  ServeBatchReport Again = runBatch(
+      Server, {{2, "repeat", Src}, {3, "respelled", respell(Src)}});
+  ASSERT_EQ(Again.Outcomes.size(), 2u);
+  for (const ServeOutcome &O : Again.Outcomes) {
+    EXPECT_EQ(O.State, ServeState::Quarantined) << O.Name;
+    EXPECT_EQ(O.Attempts, 0u) << O.Name;
+    EXPECT_FALSE(O.CacheHit) << O.Name;
+    EXPECT_TRUE(O.Report.empty()) << O.Name;
+    EXPECT_EQ(O.ContentHash, First.Outcomes[0].ContentHash) << O.Name;
+    EXPECT_EQ(O.Error.message(), Again.Outcomes[0].Error.message());
+    EXPECT_NE(O.Error.message().find("quarantined"), std::string::npos)
+        << O.Error.message();
+  }
+  EXPECT_EQ(Again.Quarantined, 2u);
+}
+
+TEST(ServeRepeatTest, UnparseableTextIsSkippedWithTheSameDiagnosticEachTime) {
+  const std::string Bad = "int main( { return }";
+  BatchCompileServer Server(baseOptions());
+  ServeBatchReport First =
+      runBatch(Server, {{1, "bad", Bad}, {2, "bad-again", Bad}});
+  ServeBatchReport Later = runBatch(Server, {{3, "bad-later", Bad}});
+  std::vector<ServeOutcome> All = First.Outcomes;
+  All.insert(All.end(), Later.Outcomes.begin(), Later.Outcomes.end());
+  ASSERT_EQ(All.size(), 3u);
+  for (const ServeOutcome &O : All) {
+    EXPECT_EQ(O.State, ServeState::Skipped) << O.Name;
+    EXPECT_EQ(O.Attempts, 0u) << O.Name;
+    EXPECT_EQ(O.ContentHash, 0u) << O.Name;
+    EXPECT_FALSE(O.CacheHit) << O.Name;
+    EXPECT_TRUE(O.Report.empty()) << O.Name;
+    EXPECT_EQ(O.Error.message().rfind("frontend: ", 0), 0u)
+        << O.Error.message();
+    EXPECT_EQ(O.Error.message(), All[0].Error.message()) << O.Name;
+  }
+  // Text that does not parse never reaches the cache.
+  EXPECT_EQ(Server.cacheStats().Misses, 0u);
+}
+
+TEST(ServeRepeatTest, ParallelRepeatsAndRespellingsMatchTheColdFill) {
+  ServeOptions SO = baseOptions();
+  SO.Workers = 4;
+  BatchCompileServer Server(SO);
+  std::vector<ServeRequest> Fill;
+  for (uint64_t I = 0; I != 8; ++I)
+    Fill.push_back({I + 1, "gen/" + std::to_string(I), genProgram(20 + I)});
+  ServeBatchReport Cold = runBatch(Server, Fill);
+  ASSERT_EQ(Cold.Outcomes.size(), Fill.size());
+  for (const ServeOutcome &O : Cold.Outcomes)
+    ASSERT_EQ(O.State, ServeState::Completed) << O.Name;
+
+  // Byte-identical repeats, then respellings, then repeats again.
+  std::vector<ServeRequest> Warm;
+  for (int Round = 0; Round != 3; ++Round)
+    for (const ServeRequest &R : Fill)
+      Warm.push_back({Warm.size() + 1, R.Name,
+                      Round == 1 ? respell(R.Source) : R.Source});
+  ServeBatchReport Hot = runBatch(Server, Warm);
+  ASSERT_EQ(Hot.Outcomes.size(), Warm.size());
+  for (size_t I = 0; I != Hot.Outcomes.size(); ++I) {
+    const ServeOutcome &O = Hot.Outcomes[I];
+    const ServeOutcome &Ref = Cold.Outcomes[I % Fill.size()];
+    EXPECT_EQ(O.State, ServeState::Completed) << O.Name;
+    EXPECT_TRUE(O.CacheHit) << O.Name;
+    EXPECT_EQ(O.Attempts, 0u) << O.Name;
+    EXPECT_EQ(O.ContentHash, Ref.ContentHash) << O.Name;
+    EXPECT_EQ(O.EffectiveMode, Ref.EffectiveMode) << O.Name;
+    EXPECT_EQ(O.Report, Ref.Report) << O.Name;
+  }
+  EXPECT_EQ(Hot.Cache.Hits - Cold.Cache.Hits, Warm.size());
+  EXPECT_EQ(Hot.Cache.Corrupt, 0u);
 }
