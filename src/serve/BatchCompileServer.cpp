@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 
 using namespace spt;
@@ -95,6 +96,51 @@ uint64_t spt::compilerOptionsFingerprint(const SptCompilerOptions &O) {
   return fnv1a(S);
 }
 
+bool CanonicalMemo::find(std::string_view Text, uint64_t &ContentHash) {
+  if (Capacity == 0)
+    return false;
+  const Key K{Text, std::hash<std::string_view>()(Text)};
+  std::lock_guard<std::mutex> Lock(Mu);
+  auto It = Index.find(K);
+  if (It == Index.end())
+    return false;
+  ContentHash = It->second->ContentHash;
+  Lru.splice(Lru.begin(), Lru, It->second); // Touch: move to MRU.
+  return true;
+}
+
+void CanonicalMemo::remember(std::string_view Text, uint64_t ContentHash) {
+  if (Capacity == 0 || Text.size() > ByteBudget)
+    return;
+  const size_t Hash = std::hash<std::string_view>()(Text);
+  std::lock_guard<std::mutex> Lock(Mu);
+  if (auto It = Index.find(Key{Text, Hash}); It != Index.end()) {
+    // Two workers canonicalized the same new text; both got this hash.
+    Lru.splice(Lru.begin(), Lru, It->second);
+    return;
+  }
+  while (!Lru.empty() &&
+         (Lru.size() >= Capacity || Bytes + Text.size() > ByteBudget)) {
+    const Entry &Victim = Lru.back();
+    Bytes -= Victim.Text.size();
+    Index.erase(Key{Victim.Text, std::hash<std::string_view>()(Victim.Text)});
+    Lru.pop_back();
+  }
+  Lru.push_front(Entry{std::string(Text), ContentHash});
+  Bytes += Text.size();
+  Index.emplace(Key{Lru.front().Text, Hash}, Lru.begin());
+}
+
+size_t CanonicalMemo::size() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Lru.size();
+}
+
+size_t CanonicalMemo::bytes() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Bytes;
+}
+
 std::string ServeBatchReport::renderSummary() const {
   // Counter order is fixed so summaries diff cleanly. The cache block is
   // informational: under concurrent workers, duplicate programs can race
@@ -121,7 +167,7 @@ std::string ServeBatchReport::renderSummary() const {
 BatchCompileServer::BatchCompileServer(const ServeOptions &Opts)
     : Opts(Opts),
       OptionsFingerprint(compilerOptionsFingerprint(Opts.Compiler)),
-      Cache(Opts.CacheCapacity),
+      Cache(Opts.CacheCapacity), Memo(Opts.CacheCapacity),
       Queues(std::max(1u, Opts.Workers)) {
   this->Opts.Workers = std::max(1u, Opts.Workers);
 }
@@ -292,22 +338,45 @@ bool BatchCompileServer::chaosFaults(uint64_t ContentHash,
   return Injector.shouldForceSquash();
 }
 
+namespace {
+
+/// Parses \p Source and returns its canonical reprint, with the reprint's
+/// fnv1a in Out.ContentHash. Text that does not parse marks \p Out
+/// skipped with the first diagnostic and returns nothing.
+std::optional<std::string> canonicalize(const std::string &Source,
+                                        ServeOutcome &Out) {
+  Parser P(Source);
+  ProgramAst Ast = P.parseProgram();
+  if (!P.errors().empty()) {
+    Out.State = ServeState::Skipped;
+    Out.Error = Status::error("frontend: " + P.errors().front());
+    return std::nullopt;
+  }
+  std::string Canonical = programToSource(Ast);
+  Out.ContentHash = fnv1a(Canonical);
+  return Canonical;
+}
+
+} // namespace
+
 ServeOutcome BatchCompileServer::compileRequest(const ServeRequest &R) {
   ServeOutcome Out;
   Out.Id = R.Id;
   Out.Name = R.Name;
   Out.EffectiveMode = Opts.Compiler.Mode;
 
-  // 1. Canonicalize. Hostile text ends here with a structured skip.
-  Parser P(R.Source);
-  ProgramAst Ast = P.parseProgram();
-  if (!P.errors().empty()) {
-    Out.State = ServeState::Skipped;
-    Out.Error = Status::error("frontend: " + P.errors().front());
-    return Out;
+  // 1. Canonicalize, unless these exact bytes canonicalized before: their
+  // remembered hash then stands in for the parse until the ladder needs
+  // the canonical text. Hostile text ends here with a structured skip.
+  std::optional<std::string> Canonical;
+  if (Memo.find(R.Source, Out.ContentHash)) {
+    obsAdd(Opts.Obs, "serve.canonical.reused", 1);
+  } else {
+    Canonical = canonicalize(R.Source, Out);
+    if (!Canonical)
+      return Out;
+    Memo.remember(R.Source, Out.ContentHash);
   }
-  const std::string Canonical = programToSource(Ast);
-  Out.ContentHash = fnv1a(Canonical);
 
   // 2. Quarantine ledger.
   {
@@ -334,6 +403,14 @@ ServeOutcome BatchCompileServer::compileRequest(const ServeRequest &R) {
   }
   if (Opts.CacheCapacity != 0)
     obsAdd(Opts.Obs, "serve.cache.miss", 1);
+  // A remembered request the cache cannot serve (evicted, corrupt or
+  // never cached) parses again; the parse is deterministic, so it cannot
+  // fail now and yields the remembered hash.
+  if (!Canonical) {
+    Canonical = canonicalize(R.Source, Out);
+    if (!Canonical)
+      return Out;
+  }
 
   // 4. The attempt ladder: requested mode, then Basic, then skip.
   std::string LastFailure = "no attempts made";
@@ -361,7 +438,7 @@ ServeOutcome BatchCompileServer::compileRequest(const ServeRequest &R) {
                     : Opts.Compiler;
       O.Cancel = &Deadline;
 
-      CompileResult CR = compileSource(Canonical);
+      CompileResult CR = compileSource(*Canonical);
       if (!CR.ok()) {
         // Deterministic semantic/verifier failure: retrying cannot help,
         // so skip directly without burning the remaining rungs.

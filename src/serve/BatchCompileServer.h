@@ -19,7 +19,11 @@
 ///  1. Canonicalization. The program is parsed and reprinted through
 ///     lang/AstPrinter; parse failures are structured skips, and the
 ///     canonical text's fnv1a hash is the request's content identity for
-///     the cache and the quarantine ledger.
+///     the cache and the quarantine ledger. The server remembers that
+///     hash under the exact bytes of every request that canonicalized
+///     (CanonicalMemo), so a byte-identical resubmission goes straight
+///     to stages 2 and 3; it is parsed again only when the cache cannot
+///     serve it and the ladder needs the canonical text.
 ///  2. Quarantine check. A program whose hash has accumulated
 ///     StrikeLimit failed attempts is refused outright (a poison input
 ///     must not keep burning worker time).
@@ -42,8 +46,8 @@
 /// same checksum-detection path tests use.
 ///
 /// Everything lands in obs/ counters (serve.accepted, serve.rejected,
-/// serve.retried, serve.degraded, serve.quarantined, serve.cache.*) when
-/// an ObsContext is supplied.
+/// serve.retried, serve.degraded, serve.quarantined, serve.cache.*,
+/// serve.canonical.reused) when an ObsContext is supplied.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,10 +62,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 namespace spt {
@@ -80,7 +87,9 @@ struct ServeOptions {
   /// Failed attempts (deadline, chaos fault, exception) a content hash
   /// may accumulate before new requests for it are quarantined.
   uint32_t StrikeLimit = 3;
-  /// Compile cache capacity in entries; 0 disables caching.
+  /// Compile cache capacity in entries; 0 disables caching. It also
+  /// bounds the canonicalization memo (CanonicalMemo), which 0 disables
+  /// too.
   size_t CacheCapacity = 4096;
   /// Base options for the first ladder rung; the Basic rung derives from
   /// them via withMode(Basic). Cancel is overwritten with the per-attempt
@@ -157,6 +166,64 @@ struct ServeBatchReport {
   std::string renderSummary() const;
 };
 
+/// The content hash of request texts that canonicalized, keyed by their
+/// exact bytes: a byte-identical resubmission needs no parse, reprint or
+/// fnv1a to find its cache entry. The key is the text itself, not a hash
+/// of it, because SPTc comments let a client append any bytes to a
+/// program: a forged collision on a 64-bit hash of raw text would hand
+/// another client's cached report to the forger's program. Bounded by an
+/// entry count and a byte budget on the stored text, evicting the least
+/// recently used entry; thread-safe.
+class CanonicalMemo {
+public:
+  /// Text the memo may hold in all, whatever its entry count.
+  static constexpr size_t DefaultByteBudget = size_t(16) << 20;
+
+  /// At most \p Capacity entries and \p ByteBudget bytes of text; 0
+  /// entries disables the memo (find always misses, remember does
+  /// nothing).
+  explicit CanonicalMemo(size_t Capacity,
+                         size_t ByteBudget = DefaultByteBudget)
+      : Capacity(Capacity), ByteBudget(ByteBudget) {}
+
+  /// On a hit, stores the remembered hash in \p ContentHash, refreshes
+  /// recency and returns true.
+  bool find(std::string_view Text, uint64_t &ContentHash);
+
+  /// Remembers \p Text -> \p ContentHash, evicting least recently used
+  /// entries until both bounds hold. A text over the whole byte budget
+  /// is not remembered.
+  void remember(std::string_view Text, uint64_t ContentHash);
+
+  size_t size() const;
+  /// Bytes of remembered text.
+  size_t bytes() const;
+
+private:
+  struct Entry {
+    std::string Text;
+    uint64_t ContentHash = 0;
+  };
+  /// Views an entry's text (list nodes never move) together with its
+  /// std::hash, taken before the lock.
+  struct Key {
+    std::string_view Text;
+    size_t Hash = 0;
+    bool operator==(const Key &O) const { return Text == O.Text; }
+  };
+  struct KeyHash {
+    size_t operator()(const Key &K) const { return K.Hash; }
+  };
+
+  /// Front = most recent, back = LRU victim.
+  std::list<Entry> Lru;
+  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> Index;
+  size_t Capacity;
+  size_t ByteBudget;
+  size_t Bytes = 0;
+  mutable std::mutex Mu;
+};
+
 /// Fingerprint of every report-affecting compiler option, for cache
 /// keying. Cancel and Observability are deliberately excluded: the
 /// determinism contract says they cannot change the rendered report.
@@ -207,6 +274,7 @@ private:
   /// the server's lifetime, so every request's cache key shares it.
   uint64_t OptionsFingerprint;
   CompileCache Cache;
+  CanonicalMemo Memo;
 
   std::mutex Mu;
   std::condition_variable WorkReady; ///< Work queued or stopping.

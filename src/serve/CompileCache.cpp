@@ -24,26 +24,38 @@ uint64_t CompileCache::key(uint64_t ContentHash,
 }
 
 bool CompileCache::lookup(uint64_t Key, std::string &Out) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Index.find(Key);
-  if (It == Index.end()) {
-    ++Stats.Misses;
-    return false;
+  std::string Copy;
+  uint64_t Checksum;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    auto It = Index.find(Key);
+    if (It == Index.end()) {
+      ++Stats.Misses;
+      return false;
+    }
+    Copy = It->second->Payload;
+    Checksum = It->second->Checksum;
+    Lru.splice(Lru.begin(), Lru, It->second); // Touch: move to MRU.
   }
-  Entry &E = *It->second;
-  if (fnv1a(E.Payload) != E.Checksum) {
-    // Detected corruption: never serve the payload. Drop the entry so
-    // the slot heals on the next insert, and report a plain miss.
+  if (fnv1a(Copy) == Checksum) {
+    Hits.fetch_add(1, std::memory_order_relaxed);
+    Out = std::move(Copy);
+    return true;
+  }
+  // Detected corruption: never serve the copy. Drop the entry so the slot
+  // heals on the next insert, unless it changed since it was read. An
+  // insert that refreshed it stored a payload matching its checksum, so
+  // it cannot equal this copy; a lookup that got here first erased it.
+  std::lock_guard<std::mutex> Lock(Mu);
+  ++Stats.Misses;
+  auto It = Index.find(Key);
+  if (It != Index.end() && It->second->Checksum == Checksum &&
+      It->second->Payload == Copy) {
     ++Stats.Corrupt;
-    ++Stats.Misses;
     Lru.erase(It->second);
     Index.erase(It);
-    return false;
   }
-  Out = E.Payload;
-  ++Stats.Hits;
-  Lru.splice(Lru.begin(), Lru, It->second); // Touch: move to MRU.
-  return true;
+  return false;
 }
 
 void CompileCache::insert(uint64_t Key, const std::string &Payload) {
@@ -84,7 +96,9 @@ bool CompileCache::corruptOneEntry() {
 
 CompileCacheStats CompileCache::stats() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  return Stats;
+  CompileCacheStats S = Stats;
+  S.Hits = Hits.load(std::memory_order_relaxed);
+  return S;
 }
 
 size_t CompileCache::size() const {

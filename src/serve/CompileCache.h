@@ -28,23 +28,24 @@
 ///
 /// Eviction: plain LRU (touch on hit) with a fixed capacity.
 ///
-/// Thread-safety: all public methods lock one mutex, and lookup()
-/// verifies the checksum and copies the payload while holding it. On
-/// warm traffic that is a real share of a request: over perfbench's
-/// serve_warm programs a report averages 2.2 KB, and a lookup (fnv1a over
-/// the payload, then the copy) takes about 3.4 us of a 58 us
-/// single-worker cache hit, most of the rest being the request's
-/// canonicalization. At 4 workers a hit finishes every 18 us or so, so
-/// the lock is held about a fifth of the time. Verifying outside the lock
-/// gave 3.5-8% more cached requests per second in four alternating
-/// serve_warm pairs on a 4-core host; the single lock is kept for now, so
-/// that detecting a corrupt entry and erasing it stay one atomic step.
+/// Thread-safety: all public methods lock one mutex. lookup() holds it
+/// only to find the entry, copy its payload and checksum and refresh its
+/// recency; it verifies the copy after releasing the lock, so concurrent
+/// hits hash their reports (2.2 KB on average over perfbench's serve_warm
+/// programs) in parallel instead of one after another. On a mismatch it
+/// re-takes the lock and erases the entry only if the entry still holds
+/// the bytes that were read: a concurrent insert may have refreshed it,
+/// or a concurrent lookup of the same corrupt entry may have erased it
+/// already. Only the lookup that erases an entry counts it Corrupt, so a
+/// corrupt entry is counted once however many lookups read it, and Hits
+/// counts verified hits only.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPT_SERVE_COMPILECACHE_H
 #define SPT_SERVE_COMPILECACHE_H
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
@@ -75,7 +76,7 @@ public:
 
   /// On hit, copies the payload into \p Out, refreshes recency, and
   /// returns true. A checksum mismatch erases the entry, counts Corrupt,
-  /// and returns false like any miss.
+  /// and returns false like any miss; \p Out is untouched on a miss.
   bool lookup(uint64_t Key, std::string &Out);
 
   /// Inserts or refreshes \p Key -> \p Payload, evicting the LRU entry
@@ -102,7 +103,9 @@ private:
   std::list<Entry> Lru;
   std::unordered_map<uint64_t, std::list<Entry>::iterator> Index;
   size_t Capacity;
+  /// Every field but Hits, which lookup() counts after releasing Mu.
   CompileCacheStats Stats;
+  std::atomic<uint64_t> Hits{0};
   mutable std::mutex Mu;
 };
 

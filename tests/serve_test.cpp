@@ -33,6 +33,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 using namespace spt;
 
 namespace {
@@ -464,6 +467,54 @@ TEST(CompileCacheTest, CorruptedEntryIsDetectedCountedAndNeverServed) {
   EXPECT_EQ(Out, "deterministic report payload");
 }
 
+TEST(CompileCacheTest, HitsCountVerifiedHitsOnly) {
+  CompileCache Cache(4);
+  Cache.insert(1, "to be corrupted");
+  Cache.insert(2, "intact");
+  ASSERT_TRUE(Cache.corruptOneEntry()); // The LRU entry: key 1.
+  std::string Out = "untouched";
+  EXPECT_FALSE(Cache.lookup(1, Out));
+  EXPECT_EQ(Out, "untouched"); // Not even the corrupt copy leaks out.
+  EXPECT_TRUE(Cache.lookup(2, Out));
+  EXPECT_EQ(Out, "intact");
+  CompileCacheStats S = Cache.stats();
+  EXPECT_EQ(S.Hits, 1u);
+  EXPECT_EQ(S.Misses, 1u);
+  EXPECT_EQ(S.Corrupt, 1u);
+}
+
+TEST(CompileCacheTest, ConcurrentLookupsOfOneCorruptEntryCountItOnce) {
+  // Every lookup copies the entry under the lock and verifies the copy
+  // after releasing it, so several may read the same corrupt bytes. Only
+  // the one that still finds them in the entry erases it and counts it.
+  constexpr unsigned Threads = 4;
+  for (int Round = 0; Round != 20; ++Round) {
+    CompileCache Cache(4);
+    Cache.insert(7, std::string(4096, 'r'));
+    ASSERT_TRUE(Cache.corruptOneEntry());
+    std::atomic<unsigned> Ready{0};
+    std::atomic<unsigned> Served{0};
+    std::vector<std::thread> Pool;
+    for (unsigned T = 0; T != Threads; ++T)
+      Pool.emplace_back([&] {
+        Ready.fetch_add(1);
+        while (Ready.load() != Threads) {
+        }
+        std::string Out;
+        if (Cache.lookup(7, Out))
+          Served.fetch_add(1);
+      });
+    for (std::thread &T : Pool)
+      T.join();
+    EXPECT_EQ(Served.load(), 0u);
+    const CompileCacheStats S = Cache.stats();
+    EXPECT_EQ(S.Corrupt, 1u);
+    EXPECT_EQ(S.Misses, Threads);
+    EXPECT_EQ(S.Hits, 0u);
+    EXPECT_EQ(Cache.size(), 0u);
+  }
+}
+
 TEST(CompileCacheTest, ZeroCapacityDisablesCaching) {
   CompileCache Cache(0);
   Cache.insert(1, "x");
@@ -743,4 +794,135 @@ TEST(ServeRepeatTest, ParallelRepeatsAndRespellingsMatchTheColdFill) {
   }
   EXPECT_EQ(Hot.Cache.Hits - Cold.Cache.Hits, Warm.size());
   EXPECT_EQ(Hot.Cache.Corrupt, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Canonicalization memo
+//===----------------------------------------------------------------------===//
+
+TEST(CanonicalMemoTest, LruEvictionAtCapacityTwo) {
+  CanonicalMemo Memo(2);
+  uint64_t H = 0;
+  EXPECT_FALSE(Memo.find("one", H));
+  Memo.remember("one", 1);
+  Memo.remember("two", 2);
+  EXPECT_TRUE(Memo.find("one", H)); // Touch: "one" becomes MRU.
+  EXPECT_EQ(H, 1u);
+  Memo.remember("three", 3); // Evicts "two", the LRU entry.
+  EXPECT_FALSE(Memo.find("two", H));
+  EXPECT_TRUE(Memo.find("one", H));
+  EXPECT_EQ(H, 1u);
+  EXPECT_TRUE(Memo.find("three", H));
+  EXPECT_EQ(H, 3u);
+  Memo.remember("three", 3); // Already remembered: no second entry.
+  EXPECT_EQ(Memo.size(), 2u);
+  EXPECT_EQ(Memo.bytes(), 8u);
+  // The key is the exact bytes: a prefix or one changed byte misses.
+  EXPECT_FALSE(Memo.find("thre", H));
+  EXPECT_FALSE(Memo.find("threE", H));
+}
+
+TEST(CanonicalMemoTest, ByteBudgetHolds) {
+  CanonicalMemo Memo(100, 10);
+  uint64_t H = 0;
+  Memo.remember("aaaa", 1);
+  Memo.remember("bbbb", 2);
+  Memo.remember("cccc", 3); // 12 bytes would exceed 10: evicts "aaaa".
+  EXPECT_EQ(Memo.size(), 2u);
+  EXPECT_EQ(Memo.bytes(), 8u);
+  EXPECT_FALSE(Memo.find("aaaa", H));
+  EXPECT_TRUE(Memo.find("bbbb", H));
+  EXPECT_TRUE(Memo.find("cccc", H));
+  Memo.remember("dddddddddd", 4); // The whole budget: evicts both.
+  EXPECT_EQ(Memo.size(), 1u);
+  EXPECT_EQ(Memo.bytes(), 10u);
+  Memo.remember("eeeeeeeeeee", 5); // Over the budget: not remembered.
+  EXPECT_FALSE(Memo.find("eeeeeeeeeee", H));
+  EXPECT_TRUE(Memo.find("dddddddddd", H));
+  EXPECT_EQ(H, 4u);
+  EXPECT_EQ(Memo.bytes(), 10u);
+}
+
+TEST(ServeMemoTest, ReusedCountsByteIdenticalRepeatsOnly) {
+  ObsContext Obs;
+  ServeOptions SO = baseOptions();
+  SO.Obs = &Obs;
+  const std::string A = genProgram(15);
+  const std::string Bad = "int main( { return }";
+  ServeBatchReport R = serveBatch(SO, {{1, "a", A},
+                                       {2, "a-respelled", respell(A)},
+                                       {3, "a-again", A},
+                                       {4, "b", genProgram(16)},
+                                       {5, "bad", Bad},
+                                       {6, "bad-again", Bad},
+                                       {7, "a-respelled-again", respell(A)}});
+  ASSERT_EQ(R.Outcomes.size(), 7u);
+  // Ids 3 and 7 repeat earlier bytes. The respelling's first arrival is
+  // canonicalized like any new text, and text that does not parse is
+  // never remembered.
+  StatsSnapshot Snap = Obs.snapshot();
+  EXPECT_EQ(Snap.Counters["serve.canonical.reused"], 2u);
+  EXPECT_EQ(Snap.Counters["serve.cache.hit"], 3u);
+  for (size_t I : {1, 2, 6}) {
+    EXPECT_TRUE(R.Outcomes[I].CacheHit) << R.Outcomes[I].Name;
+    EXPECT_EQ(R.Outcomes[I].ContentHash, R.Outcomes[0].ContentHash);
+    EXPECT_EQ(R.Outcomes[I].Report, R.Outcomes[0].Report);
+  }
+  EXPECT_EQ(R.Outcomes[5].Error.message(), R.Outcomes[4].Error.message());
+}
+
+TEST(ServeMemoTest, ZeroCacheCapacityMemoizesNothing) {
+  CanonicalMemo Off(0);
+  uint64_t H = 0;
+  Off.remember("int main() { return 0; }", 1);
+  EXPECT_FALSE(Off.find("int main() { return 0; }", H));
+  EXPECT_EQ(Off.size(), 0u);
+
+  ObsContext Obs;
+  ServeOptions SO = baseOptions();
+  SO.CacheCapacity = 0;
+  SO.Obs = &Obs;
+  const std::string Src = genProgram(17);
+  ServeBatchReport R = serveBatch(SO, {{1, "a", Src}, {2, "a-again", Src}});
+  ASSERT_EQ(R.Outcomes.size(), 2u);
+  for (const ServeOutcome &O : R.Outcomes) {
+    EXPECT_FALSE(O.CacheHit) << O.Name;
+    EXPECT_EQ(O.Attempts, 1u) << O.Name;
+    EXPECT_EQ(O.Report, R.Outcomes[0].Report) << O.Name;
+    EXPECT_EQ(O.ContentHash, R.Outcomes[0].ContentHash) << O.Name;
+  }
+  EXPECT_EQ(Obs.snapshot().Counters.count("serve.canonical.reused"), 0u);
+}
+
+TEST(ServeMemoTest, RepeatOfADegradedRequestDegradesAlike) {
+  // A degraded report is never cached, so its byte-identical repeat is
+  // remembered but misses the cache: it parses again and runs the same
+  // ladder, whose chaos faults are a pure function of the content hash.
+  const std::string Src = genProgram(5);
+  for (uint64_t Seed = 0; Seed != 64; ++Seed) {
+    ObsContext Obs;
+    ServeOptions SO = baseOptions();
+    SO.ChaosFaultRate = 0.5;
+    SO.ChaosSeed = Seed;
+    SO.StrikeLimit = 100;
+    SO.Obs = &Obs;
+    ServeBatchReport R =
+        serveBatch(SO, {{1, "flaky", Src}, {2, "flaky-again", Src}});
+    ASSERT_EQ(R.Outcomes.size(), 2u);
+    if (R.Outcomes[0].State != ServeState::Degraded)
+      continue;
+    const ServeOutcome &A = R.Outcomes[0];
+    const ServeOutcome &B = R.Outcomes[1];
+    EXPECT_EQ(B.State, ServeState::Degraded);
+    EXPECT_FALSE(B.CacheHit);
+    EXPECT_TRUE(B.Faulted);
+    EXPECT_EQ(B.Attempts, A.Attempts);
+    EXPECT_EQ(B.EffectiveMode, A.EffectiveMode);
+    EXPECT_EQ(B.ContentHash, A.ContentHash);
+    EXPECT_EQ(B.Report, A.Report);
+    EXPECT_EQ(Obs.snapshot().Counters["serve.canonical.reused"], 1u);
+    EXPECT_EQ(R.Cache.Insertions, 0u);
+    return;
+  }
+  FAIL() << "no chaos seed in [0,64) degraded the request";
 }
