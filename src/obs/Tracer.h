@@ -62,6 +62,7 @@ public:
   void record(std::string Name, uint64_t StartNs) {
     const uint64_t EndNs = nowNs();
     std::lock_guard<std::mutex> Lock(Mu);
+    ++Counts[Name];
     Events.push_back(Event{std::move(Name), currentTidLocked(),
                            StartNs, EndNs - StartNs});
   }
@@ -80,12 +81,12 @@ public:
 
   /// Span occurrence counts per name, sorted by name — the deterministic
   /// slice of the trace (durations and thread ids are wall-clock noise;
-  /// which spans ran, and how often, is not).
+  /// which spans ran, and how often, is not). record() keeps them, so a
+  /// snapshot copies one entry per name rather than recounting every
+  /// event so far: compileSpt snapshots a shared context after each
+  /// traced compile, and recounting made a traced batch quadratic.
   std::map<std::string, uint64_t> spanCounts() const {
-    std::map<std::string, uint64_t> Counts;
     std::lock_guard<std::mutex> Lock(Mu);
-    for (const Event &E : Events)
-      ++Counts[E.Name];
     return Counts;
   }
 
@@ -100,6 +101,8 @@ private:
 
   mutable std::mutex Mu;
   std::vector<Event> Events;
+  /// Events per name.
+  std::map<std::string, uint64_t> Counts;
   std::map<std::thread::id, uint32_t> Tids;
   std::chrono::steady_clock::time_point Epoch;
 };

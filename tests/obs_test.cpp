@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <thread>
 
@@ -131,6 +132,29 @@ TEST(ObsSpanTest, RecordsNestedSpans) {
   EXPECT_TRUE(validateChromeTrace(exportChromeTrace(Ctx.Trace), Err, &N))
       << Err;
   EXPECT_EQ(N, 3u);
+}
+
+TEST(ObsSpanTest, SpanCountsTallyEventsAcrossThreads) {
+  // record() keeps the per-name counts; they must equal a tally of the
+  // recorded events however threads interleave.
+  ObsContext Ctx;
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T != 4; ++T)
+    Pool.emplace_back([&Ctx, T] {
+      for (unsigned I = 0; I != 500; ++I) {
+        ObsSpan Outer(&Ctx, "outer");
+        ObsSpan Inner(&Ctx, "inner." + std::to_string((I + T) % 7));
+      }
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  std::map<std::string, uint64_t> Tally;
+  for (const Tracer::Event &E : Ctx.Trace.events())
+    ++Tally[E.Name];
+  EXPECT_EQ(Ctx.Trace.spanCounts(), Tally);
+  EXPECT_EQ(Tally["outer"], 2000u);
+  EXPECT_EQ(Tally.size(), 8u);
+  EXPECT_EQ(Ctx.Trace.numThreads(), 4u);
 }
 
 // --- Statistical accumulators (formerly support/Statistics.h) ----------===//
