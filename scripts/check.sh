@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # One-command local gate: configure, build and test the requested presets.
 #
-#   ./scripts/check.sh              # default + asan-ubsan
+#   ./scripts/check.sh              # default + asan-ubsan + tsan
 #   ./scripts/check.sh default      # a single preset
 #   ./scripts/check.sh asan-ubsan
+#   ./scripts/check.sh tsan
 #
-# Each preset builds into its own directory (build/, build-asan/), so the
-# sanitizer run never dirties the ordinary build tree. Per preset the
-# gate is: the tier1-labelled test suite (ctest -L tier1, which includes
-# the fuzzing self-check), then a 200-program differential fuzzing smoke
-# through the full oracle set (see docs/testing.md). Then the release
+# Each preset builds into its own directory (build/, build-asan/,
+# build-tsan/), so a sanitizer run never dirties the ordinary build tree.
+# Per preset the gate is: the tier1-labelled test suite (ctest -L tier1,
+# which includes the fuzzing self-check), then a 200-program differential
+# fuzzing smoke through the full oracle set (see docs/testing.md). The
+# tsan preset is narrower: it builds and runs only the layers whose state
+# worker threads share (tsan_step below). Then the release
 # preset is built into build-release/, so a warning that only -O3 raises
 # cannot break the benchmark build unnoticed, and its golden digests and
 # planner equivalence tests are checked there: the executors inline their
@@ -22,7 +25,7 @@ cd "$(dirname "$0")/.."
 
 PRESETS=("$@")
 if [ ${#PRESETS[@]} -eq 0 ]; then
-  PRESETS=(default asan-ubsan)
+  PRESETS=(default asan-ubsan tsan)
 fi
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
@@ -36,7 +39,30 @@ builddir_for() {
   esac
 }
 
+# ThreadSanitizer over the state the batch server's workers share: its
+# queues and quarantine ledger, the canonicalization memo, the compile
+# cache (whose lookups verify their copies after releasing its lock) and
+# the obs registry and tracer every worker records into. The tsan build
+# preset builds only serve_test, obs_test and sptserve (about 100 s on 4
+# cores); a reported race fails the run with TSan's exit code.
+tsan_step() {
+  echo "== [tsan] configure + build (serve_test, obs_test, sptserve)"
+  cmake --preset tsan
+  cmake --build --preset tsan -j "$JOBS"
+  echo "== [tsan] serve and obs tests"
+  ./build-tsan/tests/serve_test
+  ./build-tsan/tests/obs_test
+  echo "== [tsan] sptserve selfcheck + chaos batch"
+  ./build-tsan/tools/sptserve --selfcheck --seed 1
+  ./build-tsan/tools/sptserve --batch --corpus tests/corpus \
+    --programs 50 --jobs 4 --chaos 0.3 --seed 1 --verify
+}
+
 for preset in "${PRESETS[@]}"; do
+  if [ "$preset" = tsan ]; then
+    tsan_step
+    continue
+  fi
   builddir="$(builddir_for "$preset")"
   echo "== [$preset] configure"
   cmake --preset "$preset"
