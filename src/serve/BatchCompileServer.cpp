@@ -106,6 +106,7 @@ bool CanonicalMemo::find(std::string_view Text, uint64_t &ContentHash) {
     return false;
   ContentHash = It->second->ContentHash;
   Lru.splice(Lru.begin(), Lru, It->second); // Touch: move to MRU.
+  ++Hits;
   return true;
 }
 
@@ -139,6 +140,11 @@ size_t CanonicalMemo::size() const {
 size_t CanonicalMemo::bytes() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Bytes;
+}
+
+uint64_t CanonicalMemo::hits() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Hits;
 }
 
 std::string ServeBatchReport::renderSummary() const {
@@ -369,9 +375,7 @@ ServeOutcome BatchCompileServer::compileRequest(const ServeRequest &R) {
   // remembered hash then stands in for the parse until the ladder needs
   // the canonical text. Hostile text ends here with a structured skip.
   std::optional<std::string> Canonical;
-  if (Memo.find(R.Source, Out.ContentHash)) {
-    obsAdd(Opts.Obs, "serve.canonical.reused", 1);
-  } else {
+  if (!Memo.find(R.Source, Out.ContentHash)) {
     Canonical = canonicalize(R.Source, Out);
     if (!Canonical)
       return Out;
@@ -529,9 +533,15 @@ ServeBatchReport BatchCompileServer::drain() {
       ++Batch.ChaosFaults;
   }
   Batch.Cache = Cache.stats();
-  // Flush cache counter deltas to obs here, race-free: no workers run.
+  // Flush cache and memo counter deltas to obs here, race-free: no
+  // workers run. Memo hits are counted under the memo's own lock rather
+  // than per request in the shared registry, whose lock and name lookup
+  // would cost a hit more than the memo does.
   obsAdd(Opts.Obs, "serve.cache.corrupt",
          Batch.Cache.Corrupt - LastFlushedCorrupt);
   LastFlushedCorrupt = Batch.Cache.Corrupt;
+  const uint64_t Reused = Memo.hits();
+  obsAdd(Opts.Obs, "serve.canonical.reused", Reused - LastFlushedReused);
+  LastFlushedReused = Reused;
   return Batch;
 }

@@ -198,6 +198,8 @@ public:
   size_t size() const;
   /// Bytes of remembered text.
   size_t bytes() const;
+  /// Finds that hit, over the memo's lifetime.
+  uint64_t hits() const;
 
 private:
   struct Entry {
@@ -221,6 +223,7 @@ private:
   size_t Capacity;
   size_t ByteBudget;
   size_t Bytes = 0;
+  uint64_t Hits = 0;
   mutable std::mutex Mu;
 };
 
@@ -289,9 +292,10 @@ private:
   std::map<uint64_t, uint32_t> Strikes;
   uint64_t Accepted = 0;
   uint64_t RejectedOverload = 0;
-  /// Cache corruption count already flushed to obs (drain() adds deltas
-  /// so repeated drains never double-count).
+  /// Cache corruption and memo hit counts already flushed to obs (drain()
+  /// adds deltas so repeated drains never double-count).
   uint64_t LastFlushedCorrupt = 0;
+  uint64_t LastFlushedReused = 0;
 };
 
 } // namespace spt

@@ -820,6 +820,7 @@ TEST(CanonicalMemoTest, LruEvictionAtCapacityTwo) {
   // The key is the exact bytes: a prefix or one changed byte misses.
   EXPECT_FALSE(Memo.find("thre", H));
   EXPECT_FALSE(Memo.find("threE", H));
+  EXPECT_EQ(Memo.hits(), 3u);
 }
 
 TEST(CanonicalMemoTest, ByteBudgetHolds) {
