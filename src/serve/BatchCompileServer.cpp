@@ -99,9 +99,8 @@ uint64_t spt::compilerOptionsFingerprint(const SptCompilerOptions &O) {
 bool CanonicalMemo::find(std::string_view Text, uint64_t &ContentHash) {
   if (Capacity == 0)
     return false;
-  const Key K{Text, std::hash<std::string_view>()(Text)};
   std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Index.find(K);
+  auto It = Index.find(Text);
   if (It == Index.end())
     return false;
   ContentHash = It->second->ContentHash;
@@ -113,23 +112,21 @@ bool CanonicalMemo::find(std::string_view Text, uint64_t &ContentHash) {
 void CanonicalMemo::remember(std::string_view Text, uint64_t ContentHash) {
   if (Capacity == 0 || Text.size() > ByteBudget)
     return;
-  const size_t Hash = std::hash<std::string_view>()(Text);
   std::lock_guard<std::mutex> Lock(Mu);
-  if (auto It = Index.find(Key{Text, Hash}); It != Index.end()) {
+  if (auto It = Index.find(Text); It != Index.end()) {
     // Two workers canonicalized the same new text; both got this hash.
     Lru.splice(Lru.begin(), Lru, It->second);
     return;
   }
   while (!Lru.empty() &&
          (Lru.size() >= Capacity || Bytes + Text.size() > ByteBudget)) {
-    const Entry &Victim = Lru.back();
-    Bytes -= Victim.Text.size();
-    Index.erase(Key{Victim.Text, std::hash<std::string_view>()(Victim.Text)});
+    Bytes -= Lru.back().Text.size();
+    Index.erase(Lru.back().Text);
     Lru.pop_back();
   }
   Lru.push_front(Entry{std::string(Text), ContentHash});
   Bytes += Text.size();
-  Index.emplace(Key{Lru.front().Text, Hash}, Lru.begin());
+  Index.emplace(Lru.front().Text, Lru.begin());
 }
 
 size_t CanonicalMemo::size() const {

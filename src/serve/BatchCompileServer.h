@@ -206,20 +206,12 @@ private:
     std::string Text;
     uint64_t ContentHash = 0;
   };
-  /// Views an entry's text (list nodes never move) together with its
-  /// std::hash, taken before the lock.
-  struct Key {
-    std::string_view Text;
-    size_t Hash = 0;
-    bool operator==(const Key &O) const { return Text == O.Text; }
-  };
-  struct KeyHash {
-    size_t operator()(const Key &K) const { return K.Hash; }
-  };
 
   /// Front = most recent, back = LRU victim.
   std::list<Entry> Lru;
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> Index;
+  /// Keys view the entries' texts, which never move: list nodes are
+  /// stable, and an entry leaves Index before it leaves Lru.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> Index;
   size_t Capacity;
   size_t ByteBudget;
   size_t Bytes = 0;
