@@ -81,10 +81,10 @@ public:
 
   /// Span occurrence counts per name, sorted by name — the deterministic
   /// slice of the trace (durations and thread ids are wall-clock noise;
-  /// which spans ran, and how often, is not). record() keeps them, so a
-  /// snapshot copies one entry per name rather than recounting every
-  /// event so far: compileSpt snapshots a shared context after each
-  /// traced compile, and recounting made a traced batch quadratic.
+  /// which spans ran, and how often, is not). record() keeps them:
+  /// compileSpt snapshots a shared context after each traced compile, so
+  /// recounting every event per snapshot would make a traced batch
+  /// quadratic in its length.
   std::map<std::string, uint64_t> spanCounts() const {
     std::lock_guard<std::mutex> Lock(Mu);
     return Counts;

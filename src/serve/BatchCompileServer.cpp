@@ -532,8 +532,8 @@ ServeBatchReport BatchCompileServer::drain() {
   Batch.Cache = Cache.stats();
   // Flush cache and memo counter deltas to obs here, race-free: no
   // workers run. Memo hits are counted under the memo's own lock rather
-  // than per request in the shared registry, whose lock and name lookup
-  // would cost a hit more than the memo does.
+  // than per request in the shared registry, whose lock every worker
+  // would otherwise take once more per hit.
   obsAdd(Opts.Obs, "serve.cache.corrupt",
          Batch.Cache.Corrupt - LastFlushedCorrupt);
   LastFlushedCorrupt = Batch.Cache.Corrupt;
